@@ -141,6 +141,17 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy's generators take non-negative seeds only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellclone",
@@ -149,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="hide a Bell index, identify it, clone it, report")
-    demo.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    demo.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     demo.add_argument(
         "--bell",
         type=int,
@@ -166,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     clone_cmd.set_defaults(handler=_cmd_clone)
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
-    verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    verify.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     verify.set_defaults(handler=_cmd_verify)
 
     matrix = sub.add_parser("matrix", help="dump a named circuit's dense unitary")

@@ -5,10 +5,10 @@ right, with qubit 0 the most significant bit of k.  On two qubits |01> sits at
 index 1 and |10> at index 2.  Gates address qubits by these positions.
 
 Everything here is a pure function over value-semantic containers: inputs are
-never mutated and stored arrays are frozen.  Gate application walks the
-amplitude vector with strided index arithmetic; the only dense-matrix code
-path is circuit_unitary(), kept separate so it can serve as an independent
-cross-check of the strided kernels.
+never mutated and stored arrays are frozen.  Gates, measurement and partial
+trace index the amplitudes through one (2,)*n view with an axis per qubit; the
+only dense-matrix code path is circuit_unitary(), kept separate so it can serve
+as an independent cross-check of the axis-view kernels.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ _TRACE_ATOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 _PROBABILITY_SLACK = 1e-12
 
-_GATE_KINDS = ("hadamard", "pauli_x", "pauli_z", "cnot", "single_qubit")
+_NAMED_MATRICES = {"hadamard": HADAMARD, "pauli_x": PAULI_X, "pauli_z": PAULI_Z}
+_GATE_KINDS = (*_NAMED_MATRICES, "cnot", "single_qubit")
 
 
 def _frozen_complex_array(values, shape=None) -> np.ndarray:
@@ -93,9 +94,10 @@ class DensityMatrix:
 class Gate:
     """One gate application: a named kind plus the qubit positions it acts on.
 
-    ``matrix`` is only set for kind "single_qubit" and must be 2x2 unitary.
-    Use the factory helpers (hadamard, pauli_x, pauli_z, cnot, single_qubit)
-    rather than constructing Gate directly.
+    ``matrix`` is the 2x2 unitary of every uncontrolled gate, from a fixed table
+    for the named kinds; "cnot" is controlled-X and has none.  Use the factory
+    helpers (hadamard, pauli_x, pauli_z, cnot, single_qubit) rather than
+    constructing Gate directly.
     """
 
     kind: str
@@ -121,15 +123,17 @@ class Gate:
             mat = _frozen_complex_array(self.matrix, shape=(2, 2))
             if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > 1e-12:
                 raise ValueError("single_qubit matrix is not unitary")
-            object.__setattr__(self, "matrix", mat)
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} takes no matrix")
+        else:
+            mat = _NAMED_MATRICES.get(self.kind)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        if self.kind == "cnot":
-            return (self.control, self.target)
-        return (self.target,)
+        if self.control is None:
+            return (self.target,)
+        return (self.control, self.target)
 
 
 def hadamard(target: int) -> Gate:
@@ -203,14 +207,26 @@ def basis_state(bits: str) -> StateVector:
     return StateVector(len(bits), amps)
 
 
-def _one_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind == "hadamard":
-        return HADAMARD
-    if gate.kind == "pauli_x":
-        return PAULI_X
-    if gate.kind == "pauli_z":
-        return PAULI_Z
-    return gate.matrix
+def _axes(values: np.ndarray, num_qubits: int) -> np.ndarray:
+    """View of a length-2^n array with one axis per qubit, qubit 0 first."""
+    return values.reshape((2,) * num_qubits)
+
+
+def _slot(view: np.ndarray, *pins: tuple[int, int]) -> np.ndarray:
+    """Sub-view of an axis view with each (qubit, bit) pin fixed, keeping every axis.
+
+    Pins are length-1 slices: a 0-d result would round differently in numpy's scalar path.
+    """
+    index = [slice(None)] * view.ndim
+    for qubit, bit in pins:
+        index[qubit] = slice(bit, bit + 1)
+    return view[tuple(index)]
+
+
+def _grouped(values: np.ndarray, num_qubits: int, first: list[int]) -> np.ndarray:
+    """Matrix of a length-2^n array: rows run over ``first`` (in order), columns the rest."""
+    rest = [q for q in range(num_qubits) if q not in first]
+    return np.transpose(_axes(values, num_qubits), first + rest).reshape(2 ** len(first), -1)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -219,22 +235,18 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     for q in gate.qubits:
         if q >= n:
             raise ValueError(f"gate on qubit {q} does not fit a {n}-qubit state")
-    amps = state.amplitudes.copy()
-    index = np.arange(amps.size)
-    if gate.kind == "cnot":
-        control_bit = 1 << (n - 1 - gate.control)
-        target_bit = 1 << (n - 1 - gate.target)
-        amps = amps[np.where(index & control_bit, index ^ target_bit, index)]
+    src = _axes(state.amplitudes, n)
+    t, c = gate.target, gate.control
+    if c is None:
+        # Matrix column j, laid along the target axis, scales the target=j half.
+        column = (1,) * t + (2,) + (1,) * (n - 1 - t)
+        m0, m1 = gate.matrix[:, 0].reshape(column), gate.matrix[:, 1].reshape(column)
+        out = m0 * _slot(src, (t, 0)) + m1 * _slot(src, (t, 1))
     else:
-        mat = _one_qubit_matrix(gate)
-        stride = 1 << (n - 1 - gate.target)
-        i0 = index[(index & stride) == 0]
-        i1 = i0 | stride
-        a0 = amps[i0]
-        a1 = amps[i1]
-        amps[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-        amps[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return StateVector(n, amps)
+        # Keep the control=0 half; swap the target halves of the control=1 half.
+        reverse_target = (slice(None),) * t + (slice(None, None, -1),)
+        out = np.concatenate((_slot(src, (c, 0)), _slot(src, (c, 1))[reverse_target]), axis=c)
+    return StateVector(n, out.reshape(-1))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -282,9 +294,7 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (in the given order), tracing out the rest."""
     n = state.num_qubits
     keep = _checked_qubits(n, keep)
-    rest = [q for q in range(n) if q not in keep]
-    tensor_form = state.amplitudes.reshape((2,) * n)
-    rows = np.transpose(tensor_form, keep + rest).reshape(2 ** len(keep), -1)
+    rows = _grouped(state.amplitudes, n, keep)
     return DensityMatrix(len(keep), rows @ rows.conj().T)
 
 
@@ -298,10 +308,7 @@ def fidelity_mixed(rho: DensityMatrix, psi: StateVector) -> float:
 
 def _outcome_marginal(state: StateVector, qubits: list[int]) -> np.ndarray:
     """Born probabilities of each outcome of ``qubits``, in outcome-index order."""
-    n = state.num_qubits
-    probs = (np.abs(state.amplitudes) ** 2).reshape((2,) * n)
-    rest = [q for q in range(n) if q not in qubits]
-    return np.transpose(probs, qubits + rest).reshape(2 ** len(qubits), -1).sum(axis=1)
+    return _grouped(np.abs(state.amplitudes) ** 2, state.num_qubits, qubits).sum(axis=1)
 
 
 def measurement_distribution(state: StateVector, qubits: Sequence[int]) -> dict[str, float]:
@@ -325,17 +332,14 @@ def measure(state: StateVector, qubits: Sequence[int], seed: int) -> Measurement
     rng = np.random.default_rng(seed)
     outcome_index = int(rng.choice(marginal.size, p=marginal / marginal.sum()))
 
-    width = len(qubits)
-    index = np.arange(state.amplitudes.size)
-    consistent = np.ones(index.size, dtype=bool)
-    for j, q in enumerate(qubits):
-        bit = (outcome_index >> (width - 1 - j)) & 1
-        consistent &= ((index >> (n - 1 - q)) & 1) == bit
-    projected = np.where(consistent, state.amplitudes, 0.0)
+    outcome = format(outcome_index, f"0{len(qubits)}b")
+    pins = [(q, int(bit)) for q, bit in zip(qubits, outcome)]
+    projected = np.zeros_like(state.amplitudes)
+    _slot(_axes(projected, n), *pins)[...] = _slot(_axes(state.amplitudes, n), *pins)
     post = StateVector(n, projected / np.linalg.norm(projected))
     return MeasurementRecord(
         measured_qubits=tuple(qubits),
-        outcome=format(outcome_index, f"0{width}b"),
+        outcome=outcome,
         probability=float(marginal[outcome_index]),
         post_state=post,
     )
@@ -344,7 +348,7 @@ def measure(state: StateVector, qubits: Sequence[int], seed: int) -> Measurement
 def _dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n matrix of one gate, built by Kronecker products only."""
     eye = np.eye(2, dtype=complex)
-    if gate.kind == "cnot":
+    if gate.control is not None:
         p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
         keep = [eye] * num_qubits
@@ -354,7 +358,7 @@ def _dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:
         flip[gate.target] = PAULI_X
         return reduce(np.kron, keep) + reduce(np.kron, flip)
     factors = [eye] * num_qubits
-    factors[gate.target] = _one_qubit_matrix(gate)
+    factors[gate.target] = gate.matrix
     return reduce(np.kron, factors)
 
 

@@ -36,12 +36,9 @@ from .statevector import (
     cnot,
     fidelity_mixed,
     fidelity_pure,
-    hadamard,
     measure,
     measurement_distribution,
     partial_trace,
-    pauli_x,
-    pauli_z,
     single_qubit,
     tensor,
 )
@@ -102,14 +99,10 @@ def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Cir
             gates.append(cnot(int(control), int(target)))
             continue
         target = int(rng.integers(num_qubits))
-        if kind == "hadamard":
-            gates.append(hadamard(target))
-        elif kind == "pauli_x":
-            gates.append(pauli_x(target))
-        elif kind == "pauli_z":
-            gates.append(pauli_z(target))
-        else:
+        if kind == "single_qubit":
             gates.append(single_qubit(target, _random_unitary_2x2(rng)))
+        else:
+            gates.append(Gate(kind, target))
     return Circuit(num_qubits, tuple(gates))
 
 
@@ -150,7 +143,7 @@ def check_circuit_linearity(seed: int) -> CheckResult:
 
 
 def check_kernel_against_dense(seed: int) -> tuple[CheckResult, CheckResult]:
-    """Strided kernels agree with the dense-matrix route, which is itself unitary.
+    """Axis-view kernels agree with the dense-matrix route, which is itself unitary.
 
     One shared sample of random circuits feeds two reported results, but the
     two code paths under test stay fully independent.

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+from bellclone import cli
 
 from oracles import BELL_AMPLITUDES, SQRT_HALF
 
@@ -88,6 +95,16 @@ class TestDemo:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["demo", "verify"])
+def test_negative_seed_is_a_usage_error(command):
+    proc = run_cli(command, "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr
+    assert "non-negative" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestClone:
     def test_bell_file_clones_at_fidelity_one(self, tmp_path):
         path = write_state(tmp_path, BELL_AMPLITUDES[1])
@@ -135,6 +152,34 @@ class TestClone:
         proc = run_cli("clone", "--state", path)
         assert proc.returncode == 2
         assert "norm" in proc.stderr
+
+    @pytest.mark.parametrize("line", ["nan 0", "inf 0", "1e308 1e308"])
+    def test_out_of_range_amplitude_exits_2_quietly(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"qubits 2\n{line}\n0 0\n0 0\n0 0\n")
+        proc = run_cli("clone", "--state", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "bad.txt:2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+
+    def test_huge_qubit_header_exits_2(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("qubits 20000\n0 0\n")
+        proc = run_cli("clone", "--state", str(path))
+        assert proc.returncode == 2
+        assert "huge.txt:1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"qubits 2\n\xff\xfe 0\n")
+        proc = run_cli("clone", "--state", str(path))
+        assert proc.returncode == 2
+        assert "binary.txt:2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("clone", "--state", str(tmp_path / "absent.txt"))
@@ -218,3 +263,36 @@ class TestMatrix:
 def test_no_subcommand_is_a_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+_TOKENS = st.sampled_from(
+    ["0", "-0", "1", "3", "20000", "0.5", "nan", "inf", "-inf", "1e308", "1e-320", "x"]
+)
+
+
+@st.composite
+def _state_file_bytes(draw):
+    """A Bell-pair file with a few tokens replaced, lines cut and bytes spliced in."""
+    rows = [["qubits", "2"], [repr(SQRT_HALF), "0"], ["0", "0"], ["0", "0"], [repr(SQRT_HALF), "0"]]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, 1))] = draw(_TOKENS)
+    rows = rows[: draw(st.sampled_from([5, 4, 2]))]
+    text = "\n".join(" ".join(row) for row in rows).encode()
+    junk = draw(st.just(b"") | st.binary(min_size=1, max_size=4))
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + junk + text[cut:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=64) | _state_file_bytes())
+def test_clone_exits_0_or_2_on_arbitrary_file_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_state.txt"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["clone", "--state", str(path)])
+    assert code in (0, 2)
+    assert (code == 0) == (err.getvalue() == "")

@@ -100,3 +100,32 @@ def test_error_message_names_the_file(tmp_path):
     path = write(tmp_path, "qubits 2\n1 0\n", name="short.txt")
     with pytest.raises(StateFileError, match="short.txt"):
         read_state_file(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line", ["nan 0", "0 nan", "inf 0", "0 -inf", "1e308 1e308", "1.5 0"])
+def test_non_finite_or_oversized_amplitude_reports_its_number(tmp_path, line):
+    path = write(tmp_path, f"qubits 1\n0 0\n{line}\n")
+    with pytest.raises(StateFileError, match=r"state.txt:3:.*not finite"):
+        read_state_file(path)
+
+
+@pytest.mark.parametrize("count", ["20000", "1000000000"])
+def test_huge_qubit_count_is_rejected_before_sizing(tmp_path, count):
+    path = write(tmp_path, f"# header on line 2\nqubits {count}\n0 0\n")
+    with pytest.raises(StateFileError, match=r"state.txt:2:.*exceeds"):
+        read_state_file(path)
+
+
+def test_non_utf8_bytes_are_rejected_with_their_line(tmp_path):
+    path = tmp_path / "state.txt"
+    path.write_bytes(b"qubits 1\n1 0\n\xff 0\n")
+    with pytest.raises(StateFileError, match=r"state.txt:3:.*UTF-8"):
+        read_state_file(str(path))
+
+
+def test_crlf_line_endings_parse(tmp_path):
+    path = tmp_path / "state.txt"
+    path.write_bytes(b"qubits 1\r\n# comment\r\n1 0\r\n0 0\r\n")
+    state = read_state_file(str(path))
+    assert_allclose(state.amplitudes, [1.0, 0.0])
