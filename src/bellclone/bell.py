@@ -38,14 +38,19 @@ def origin_bits(index: int) -> str:
     return format(index, "02b")
 
 
+# Circuits are immutable values, so each fixed one is built once at import.
+_BELL_ENCODE = Circuit(2, (hadamard(0), cnot(0, 1)))
+_BELL_DECODE = Circuit(2, (cnot(0, 1), hadamard(0)))
+
+
 def bell_encode_circuit() -> Circuit:
     """Maps |bin(i)> to the Bell state of index i: Hadamard on the left qubit, then CNOT."""
-    return Circuit(2, (hadamard(0), cnot(0, 1)))
+    return _BELL_ENCODE
 
 
 def bell_decode_circuit() -> Circuit:
     """Inverse of bell_encode_circuit: CNOT, then Hadamard on the left qubit."""
-    return Circuit(2, (cnot(0, 1), hadamard(0)))
+    return _BELL_DECODE
 
 
 def bell_index_of(state: StateVector) -> int | None:

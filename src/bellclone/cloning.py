@@ -30,8 +30,11 @@ from .statevector import (
     tensor,
 )
 
-# Best clone fidelity any machine can reach on arbitrary unknown qubit
-# states; the benchmark our restricted-alphabet cloner is measured against.
+# Bužek–Hillery bound: the best 1->2 clone fidelity a universal machine
+# reaches on an unknown single qubit (d=2), the benchmark this
+# restricted-alphabet cloner is reported against.  The object cloned here is a
+# pair (d=4), for which Werner's optimal universal 1->2 fidelity
+# (d+3)/(2(d+1)) is 7/10 (Werner, PRA 58, 1827, 1998).
 UCM_REFERENCE = 5.0 / 6.0
 
 
@@ -67,6 +70,13 @@ class CloneReport:
     ucm_reference: float
 
 
+# Circuits are immutable values, so each fixed one is built once at import.
+_TAG = Circuit(
+    4, bell_decode_circuit().gates + (cnot(0, 2), cnot(1, 3)) + bell_encode_circuit().gates
+)
+_CLONE = Circuit(4, _TAG.gates + (hadamard(2), cnot(2, 3)))
+
+
 def tag_circuit() -> Circuit:
     """Four-qubit transform writing a Bell pair's index onto ancillas (2, 3).
 
@@ -74,15 +84,12 @@ def tag_circuit() -> Circuit:
     the ancillas, then re-encode: on span{Bell x |00>} this acts exactly as
     the tagging map, and it is unitary everywhere.
     """
-    decode = bell_decode_circuit().gates
-    encode = bell_encode_circuit().gates
-    fanout = (cnot(0, 2), cnot(1, 3))
-    return Circuit(4, decode + fanout + encode)
+    return _TAG
 
 
 def clone_circuit() -> Circuit:
     """tag_circuit followed by Bell-encoding the ancillas into a second pair."""
-    return Circuit(4, tag_circuit().gates + (hadamard(2), cnot(2, 3)))
+    return _CLONE
 
 
 def identify(pair: StateVector, seed: int) -> IdentificationResult:

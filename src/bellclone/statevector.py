@@ -9,12 +9,17 @@ never mutated and stored arrays are frozen.  Gates, measurement and partial
 trace index the amplitudes through one (2,)*n view with an axis per qubit; the
 only dense-matrix code path is circuit_unitary(), kept separate so it can serve
 as an independent cross-check of the axis-view kernels.
+
+measure() draws its outcome by the inverse-CDF lookup that numpy's
+Generator.choice performs for a weighted draw, so every seeded outcome matches
+choice bit for bit.  Its record builds the post-measurement state on first
+read, so callers that only need the outcome never pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -182,13 +187,15 @@ class MeasurementRecord:
 
     ``outcome`` lists one bit per measured qubit, in the order the qubits
     were requested.  ``probability`` is the Born probability of that outcome
-    and ``post_state`` the renormalized projection of the input.
+    and ``input_state`` the state that was measured.  ``post_state``, the
+    renormalized projection of the input onto the outcome, is built and
+    validated on first read and then kept.
     """
 
     measured_qubits: tuple[int, ...]
     outcome: str
     probability: float
-    post_state: StateVector
+    input_state: StateVector
 
     def __post_init__(self):
         object.__setattr__(self, "measured_qubits", tuple(self.measured_qubits))
@@ -196,6 +203,14 @@ class MeasurementRecord:
             raise ValueError("outcome length must match the number of measured qubits")
         if not -_PROBABILITY_SLACK <= self.probability <= 1.0 + _PROBABILITY_SLACK:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
+
+    @cached_property
+    def post_state(self) -> StateVector:
+        n, amps = self.input_state.num_qubits, self.input_state.amplitudes
+        pins = [(q, int(bit)) for q, bit in zip(self.measured_qubits, self.outcome)]
+        projected = np.zeros_like(amps)
+        _slot(_axes(projected, n), *pins)[...] = _slot(_axes(amps, n), *pins)
+        return StateVector(n, projected / np.linalg.norm(projected))
 
 
 def basis_state(bits: str) -> StateVector:
@@ -322,26 +337,23 @@ def measurement_distribution(state: StateVector, qubits: Sequence[int]) -> dict[
 def measure(state: StateVector, qubits: Sequence[int], seed: int) -> MeasurementRecord:
     """Projectively measure ``qubits``, sampling the outcome by the Born rule.
 
-    The draw is a pure function of ``seed``; repeated calls with the same
-    arguments return the identical record.  The post-measurement state is the
-    projection onto the sampled outcome, renormalized.
+    The draw is a pure function of ``seed``: one uniform variate from
+    ``default_rng(seed)`` looked up in the normalized cumulative Born
+    distribution, the algorithm ``Generator.choice(n, p=...)`` runs, so the
+    outcome equals that call's.  Repeated calls with the same arguments
+    return the identical record.  The record's ``post_state``, the projection
+    onto the sampled outcome renormalized, is built when first read.
     """
-    n = state.num_qubits
-    qubits = _checked_qubits(n, qubits)
+    qubits = _checked_qubits(state.num_qubits, qubits)
     marginal = _outcome_marginal(state, qubits)
-    rng = np.random.default_rng(seed)
-    outcome_index = int(rng.choice(marginal.size, p=marginal / marginal.sum()))
-
-    outcome = format(outcome_index, f"0{len(qubits)}b")
-    pins = [(q, int(bit)) for q, bit in zip(qubits, outcome)]
-    projected = np.zeros_like(state.amplitudes)
-    _slot(_axes(projected, n), *pins)[...] = _slot(_axes(state.amplitudes, n), *pins)
-    post = StateVector(n, projected / np.linalg.norm(projected))
+    cdf = np.cumsum(marginal / marginal.sum())
+    cdf /= cdf[-1]
+    outcome_index = int(cdf.searchsorted(np.random.default_rng(seed).random(), side="right"))
     return MeasurementRecord(
         measured_qubits=tuple(qubits),
-        outcome=outcome,
+        outcome=format(outcome_index, f"0{len(qubits)}b"),
         probability=float(marginal[outcome_index]),
-        post_state=post,
+        input_state=state,
     )
 
 

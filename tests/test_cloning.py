@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from bellclone import (
     UCM_REFERENCE,
     apply_circuit,
     basis_state,
+    bell_decode_circuit,
+    bell_encode_circuit,
     bell_state,
     circuit_unitary,
     clone,
@@ -26,6 +29,23 @@ from oracles import BELL_AMPLITUDES, overlap_fidelity, reduced_density
 def superposition(i: int, j: int, weight_i: float, weight_j: float) -> StateVector:
     amps = weight_i * BELL_AMPLITUDES[i] + weight_j * BELL_AMPLITUDES[j]
     return StateVector(2, amps)
+
+
+@pytest.mark.parametrize(
+    "builder", [bell_encode_circuit, bell_decode_circuit, tag_circuit, clone_circuit]
+)
+def test_fixed_circuits_are_built_once_and_read_only(builder):
+    circuit = builder()
+    assert builder() is circuit
+    with pytest.raises(FrozenInstanceError):
+        circuit.gates = ()
+    with pytest.raises(TypeError):
+        circuit.gates[0] = circuit.gates[-1]
+    matrices = [gate.matrix for gate in circuit.gates if gate.matrix is not None]
+    assert matrices
+    for matrix in matrices:
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
 
 
 class TestTagCircuit:

@@ -41,6 +41,13 @@ def bell(i: int) -> StateVector:
     return StateVector(2, BELL_AMPLITUDES[i])
 
 
+def _sparse_state(n: int, rng: np.random.Generator) -> StateVector:
+    """Random n-qubit state with about half its amplitudes exactly zero."""
+    amps = random_state(n, rng).amplitudes * (rng.random(2**n) < 0.5)
+    amps[rng.integers(2**n)] = 1.0
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
 class TestStateVector:
     def test_basis_index_convention(self):
         # |01> at index 1, |10> at index 2: leftmost ket symbol is the
@@ -313,9 +320,48 @@ class TestMeasurement:
         outcomes = [measure(probe, (2, 3), seed=s).outcome for s in range(64)]
         assert outcomes == ["0" + bit for bit in pinned]
 
+    def test_draw_matches_numpy_choice(self):
+        # measure draws by the inverse-CDF lookup Generator.choice runs for a
+        # weighted draw; a numpy upgrade that changes choice fails here.
+        rng = np.random.default_rng(20240518)
+        for seed in range(3000):
+            width = int(rng.integers(1, 5))
+            state = _sparse_state(int(rng.integers(width, 6)), rng)
+            qubits = [int(q) for q in rng.choice(state.num_qubits, size=width, replace=False)]
+            marginal = np.array(list(measurement_distribution(state, qubits).values()))
+            chosen = np.random.default_rng(seed).choice(marginal.size, p=marginal / marginal.sum())
+            assert measure(state, qubits, seed=seed).outcome == format(chosen, f"0{width}b")
+
+    def test_post_state_is_the_eager_projection(self):
+        rng = np.random.default_rng(8)
+        for seed in range(300):
+            n = int(rng.integers(1, 6))
+            state = random_state(n, rng)
+            qubits = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+            record = measure(state, qubits, seed=seed)
+            # Keep the amplitudes whose index bits match the outcome on every measured qubit.
+            index = np.arange(2**n)
+            keep = np.ones(2**n, dtype=bool)
+            for q, bit in zip(qubits, record.outcome):
+                keep &= (index >> (n - 1 - q)) & 1 == int(bit)
+            projected = np.where(keep, state.amplitudes, 0)
+            expected = projected / np.linalg.norm(projected)
+            post = record.post_state
+            assert isinstance(post, StateVector) and post.num_qubits == n
+            assert post.amplitudes.tobytes() == expected.tobytes()
+            assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            assert record.post_state is post
+
+    def test_post_state_is_validated_when_built(self):
+        # A hand-made record for an impossible outcome: the projection is zero
+        # and the StateVector check rejects it on first read.
+        record = MeasurementRecord((0,), "1", 0.0, input_state=basis_state("0"))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            record.post_state
+
     def test_record_validates_probability(self):
         with pytest.raises(ValueError):
-            MeasurementRecord((0,), "0", 1.5, basis_state("0"))
+            MeasurementRecord((0,), "0", 1.5, input_state=basis_state("0"))
 
 
 class TestMeasurementDistribution:
