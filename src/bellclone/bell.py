@@ -17,18 +17,16 @@ BELL_INDICES = (0, 1, 2, 3)
 _BELL_MATCH_THRESHOLD = 1.0 - 1e-10
 
 
+# States are immutable values, so each Bell state is built once at import.
+_BELL_ROWS = ((1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1), (0, 1, -1, 0))
+_BELL_STATES = {i: StateVector(2, SQRT1_2 * np.array(row)) for i, row in enumerate(_BELL_ROWS)}
+
+
 def bell_state(index: int) -> StateVector:
-    """Bell basis element of the given index (0..3)."""
+    """Bell basis element of the given index (0..3), one shared state per index."""
     if index not in BELL_INDICES:
         raise ValueError(f"Bell index must be 0..3, got {index!r}")
-    amps = np.zeros(4, dtype=complex)
-    if index in (0, 2):
-        amps[0] = SQRT1_2
-        amps[3] = SQRT1_2 if index == 0 else -SQRT1_2
-    else:
-        amps[1] = SQRT1_2
-        amps[2] = SQRT1_2 if index == 1 else -SQRT1_2
-    return StateVector(2, amps)
+    return _BELL_STATES[index]
 
 
 def origin_bits(index: int) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +30,6 @@ _MATRIX_CIRCUITS = {
     "tgp": tag_circuit,
     "clone": clone_circuit,
 }
-
-
-@dataclass(frozen=True)
-class DemoReport:
-    """End-to-end demo outcome: what was hidden, what came back, how faithful."""
-
-    hidden_index: int
-    identified_index: int
-    outcome_bits: str
-    fidelity_original: float
-    fidelity_clone: float
-    ucm_reference: float
-    seed: int
 
 
 def _state_pairs(state: StateVector) -> list[list[float]]:
@@ -72,20 +58,20 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     pair = bell_state(hidden)
     found = identify(pair, args.seed)
     scored = clone(pair)
-    report = DemoReport(
-        hidden_index=hidden,
-        identified_index=found.index,
-        outcome_bits=found.outcome_bits,
-        fidelity_original=scored.fidelity_original,
-        fidelity_clone=scored.fidelity_clone,
-        ucm_reference=UCM_REFERENCE,
-        seed=args.seed,
-    )
-    print(_render(vars(report), args.format))
+    fields = {
+        "hidden_index": hidden,
+        "identified_index": found.index,
+        "outcome_bits": found.outcome_bits,
+        "fidelity_original": scored.fidelity_original,
+        "fidelity_clone": scored.fidelity_clone,
+        "ucm_reference": UCM_REFERENCE,
+        "seed": args.seed,
+    }
+    print(_render(fields, args.format))
     passed = (
-        report.identified_index == report.hidden_index
-        and report.fidelity_original >= _DEMO_FIDELITY_FLOOR
-        and report.fidelity_clone >= _DEMO_FIDELITY_FLOOR
+        found.index == hidden
+        and scored.fidelity_original >= _DEMO_FIDELITY_FLOOR
+        and scored.fidelity_clone >= _DEMO_FIDELITY_FLOOR
     )
     return 0 if passed else 1
 
@@ -93,10 +79,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_clone(args: argparse.Namespace) -> int:
     try:
         pair = read_state_file(args.state)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StateFileError as exc:
+    except (OSError, StateFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if pair.num_qubits != 2:

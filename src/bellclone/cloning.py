@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bell import bell_decode_circuit, bell_encode_circuit, bell_index_of
 from .statevector import (
     Circuit,
@@ -70,11 +72,12 @@ class CloneReport:
     ucm_reference: float
 
 
-# Circuits are immutable values, so each fixed one is built once at import.
+# Circuits and states are immutable values, so each fixed one is built once at import.
 _TAG = Circuit(
     4, bell_decode_circuit().gates + (cnot(0, 2), cnot(1, 3)) + bell_encode_circuit().gates
 )
 _CLONE = Circuit(4, _TAG.gates + (hadamard(2), cnot(2, 3)))
+_ANCILLAS = basis_state("00")
 
 
 def tag_circuit() -> Circuit:
@@ -102,15 +105,15 @@ def identify(pair: StateVector, seed: int) -> IdentificationResult:
     """
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
-    joint = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
+    joint = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
     record = measure(joint, (2, 3), seed)
-    residual_rows = record.post_state.amplitudes.reshape(4, 4)
-    residual = StateVector(2, residual_rows[:, int(record.outcome, 2)])
+    # The measured ancillas leave the pair in their outcome's column, renormalized.
+    column = joint.amplitudes.reshape(4, 4)[:, int(record.outcome, 2)]
     return IdentificationResult(
         index=int(record.outcome, 2),
         outcome_bits=record.outcome,
         probability=record.probability,
-        residual_state=residual,
+        residual_state=StateVector(2, column / np.linalg.norm(column)),
     )
 
 
@@ -122,7 +125,7 @@ def clone(pair: StateVector) -> CloneReport:
     """
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
-    joint = apply_circuit(tensor(pair, basis_state("00")), clone_circuit())
+    joint = apply_circuit(tensor(pair, _ANCILLAS), clone_circuit())
     original = partial_trace(joint, (0, 1))
     copy = partial_trace(joint, (2, 3))
     index = bell_index_of(pair)

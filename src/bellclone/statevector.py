@@ -10,6 +10,10 @@ trace index the amplitudes through one (2,)*n view with an axis per qubit; the
 only dense-matrix code path is circuit_unitary(), kept separate so it can serve
 as an independent cross-check of the axis-view kernels.
 
+A state's invariants are checked where a public function returns it, not on
+intermediate values: apply_circuit() runs every gate on the bare axis view and
+validates the final state once, and apply_gate() is a one-gate circuit.
+
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  Its record builds the post-measurement state on first
@@ -198,7 +202,10 @@ class MeasurementRecord:
     input_state: StateVector
 
     def __post_init__(self):
-        object.__setattr__(self, "measured_qubits", tuple(self.measured_qubits))
+        qubits = _checked_qubits(self.input_state.num_qubits, self.measured_qubits)
+        object.__setattr__(self, "measured_qubits", tuple(qubits))
+        if any(bit not in "01" for bit in self.outcome):
+            raise ValueError(f"outcome must hold only 0s and 1s, got {self.outcome!r}")
         if len(self.outcome) != len(self.measured_qubits):
             raise ValueError("outcome length must match the number of measured qubits")
         if not -_PROBABILITY_SLACK <= self.probability <= 1.0 + _PROBABILITY_SLACK:
@@ -244,35 +251,33 @@ def _grouped(values: np.ndarray, num_qubits: int, first: list[int]) -> np.ndarra
     return np.transpose(_axes(values, num_qubits), first + rest).reshape(2 ** len(first), -1)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate and return the new state; the input is untouched."""
-    n = state.num_qubits
-    for q in gate.qubits:
-        if q >= n:
-            raise ValueError(f"gate on qubit {q} does not fit a {n}-qubit state")
-    src = _axes(state.amplitudes, n)
+def _gate_kernel(view: np.ndarray, gate: Gate) -> np.ndarray:
+    """One gate on a (2,)*n axis view, returning a new view; nothing is validated."""
     t, c = gate.target, gate.control
     if c is None:
         # Matrix column j, laid along the target axis, scales the target=j half.
-        column = (1,) * t + (2,) + (1,) * (n - 1 - t)
+        column = (1,) * t + (2,) + (1,) * (view.ndim - 1 - t)
         m0, m1 = gate.matrix[:, 0].reshape(column), gate.matrix[:, 1].reshape(column)
-        out = m0 * _slot(src, (t, 0)) + m1 * _slot(src, (t, 1))
-    else:
-        # Keep the control=0 half; swap the target halves of the control=1 half.
-        reverse_target = (slice(None),) * t + (slice(None, None, -1),)
-        out = np.concatenate((_slot(src, (c, 0)), _slot(src, (c, 1))[reverse_target]), axis=c)
-    return StateVector(n, out.reshape(-1))
+        return m0 * _slot(view, (t, 0)) + m1 * _slot(view, (t, 1))
+    # Keep the control=0 half; swap the target halves of the control=1 half.
+    reverse_target = (slice(None),) * t + (slice(None, None, -1),)
+    return np.concatenate((_slot(view, (c, 0)), _slot(view, (c, 1))[reverse_target]), axis=c)
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate and return the new state; the input is untouched."""
+    return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the circuit's gates in listed order."""
-    if circuit.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"circuit acts on {circuit.num_qubits} qubits, state has {state.num_qubits}"
-        )
+    """Apply the circuit's gates in listed order, validating only the final state."""
+    n = state.num_qubits
+    if circuit.num_qubits != n:
+        raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {n}")
+    view = _axes(state.amplitudes, n)
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
+        view = _gate_kernel(view, gate)
+    return StateVector(n, view.reshape(-1))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

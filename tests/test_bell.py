@@ -23,6 +23,14 @@ def test_bell_state_literal_amplitudes(index):
     assert_allclose(bell_state(index).amplitudes, BELL_AMPLITUDES[index], atol=1e-12)
 
 
+@pytest.mark.parametrize("index", BELL_INDICES)
+def test_bell_state_is_one_shared_read_only_state(index):
+    state = bell_state(index)
+    assert bell_state(index) is state
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 0.0
+
+
 def test_bell_state_rejects_bad_index():
     with pytest.raises(ValueError):
         bell_state(4)

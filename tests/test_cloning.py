@@ -48,6 +48,30 @@ def test_fixed_circuits_are_built_once_and_read_only(builder):
             matrix[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("index", BELL_INDICES)
+def test_only_returned_states_are_validated(index, monkeypatch):
+    # Intermediate values stay plain arrays: each call validates only the
+    # StateVectors it builds for its caller (tensor, circuit output, residual).
+    validated = []
+    validate = StateVector.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        validate(self)
+
+    joint_input = tensor(bell_state(index), basis_state("00"))
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+
+    def constructions(call):
+        validated.clear()
+        call()
+        return len(validated)
+
+    assert constructions(lambda: apply_circuit(joint_input, clone_circuit())) == 1
+    assert constructions(lambda: identify(bell_state(index), seed=index)) == 3
+    assert constructions(lambda: clone(bell_state(index))) == 2
+
+
 class TestTagCircuit:
     @pytest.mark.parametrize("index", BELL_INDICES)
     def test_writes_origin_onto_ancillas(self, index):

@@ -363,6 +363,15 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             MeasurementRecord((0,), "0", 1.5, input_state=basis_state("0"))
 
+    @pytest.mark.parametrize(
+        "qubits, outcome, match",
+        [((5,), "1", "out of range"), ((0, 0), "11", "distinct"), ((0,), "x", "0s and 1s")],
+    )
+    def test_record_rejects_qubits_or_outcome_that_do_not_fit(self, qubits, outcome, match):
+        # Caught at construction, not by the first post_state read.
+        with pytest.raises(ValueError, match=match):
+            MeasurementRecord(qubits, outcome, 0.5, input_state=basis_state("0"))
+
 
 class TestMeasurementDistribution:
     def test_point_mass_on_basis_state(self):
