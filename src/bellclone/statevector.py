@@ -16,8 +16,11 @@ validates the final state once, and apply_gate() is a one-gate circuit.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
-choice bit for bit.  Its record builds the post-measurement state on first
-read, so callers that only need the outcome never pay for it.
+choice bit for bit.  The lookup is one helper over a batch of seeds, _draw():
+measure() is its one-seed call, and verify's Born check draws all its shots
+from one CDF through it.  A record builds the post-measurement state on first
+read, so callers that only need the outcome never pay for it.  tensor() and
+circuit_unitary() form the same products as np.kron, through _kron().
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-for _m in (HADAMARD, PAULI_X, PAULI_Z):
+# Identity and the two control projectors, the other Kronecker factors of _dense_gate.
+_EYE2 = np.eye(2, dtype=complex)
+_PROJECT0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+_PROJECT1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+for _m in (HADAMARD, PAULI_X, PAULI_Z, _EYE2, _PROJECT0, _PROJECT1):
     _m.setflags(write=False)
 
 # Dense unitaries above this size stop being a desk-scale cross-check.
@@ -280,9 +287,17 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(n, view.reshape(-1))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two matrices: the same products, laid out the same way."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the leftmost positions."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(a.num_qubits + b.num_qubits, _kron(a.amplitudes, b.amplitudes))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -339,6 +354,14 @@ def measurement_distribution(state: StateVector, qubits: Sequence[int]) -> dict[
     return {format(o, f"0{width}b"): float(p) for o, p in enumerate(marginal)}
 
 
+def _draw(marginal: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """Outcome index per seed: one default_rng(seed) variate looked up in the CDF, as in choice."""
+    cdf = np.cumsum(marginal / marginal.sum())
+    cdf /= cdf[-1]
+    variates = np.array([np.random.default_rng(seed).random() for seed in seeds])
+    return cdf.searchsorted(variates, side="right")
+
+
 def measure(state: StateVector, qubits: Sequence[int], seed: int) -> MeasurementRecord:
     """Projectively measure ``qubits``, sampling the outcome by the Born rule.
 
@@ -351,9 +374,7 @@ def measure(state: StateVector, qubits: Sequence[int], seed: int) -> Measurement
     """
     qubits = _checked_qubits(state.num_qubits, qubits)
     marginal = _outcome_marginal(state, qubits)
-    cdf = np.cumsum(marginal / marginal.sum())
-    cdf /= cdf[-1]
-    outcome_index = int(cdf.searchsorted(np.random.default_rng(seed).random(), side="right"))
+    outcome_index = int(_draw(marginal, (seed,))[0])
     return MeasurementRecord(
         measured_qubits=tuple(qubits),
         outcome=format(outcome_index, f"0{len(qubits)}b"),
@@ -364,19 +385,16 @@ def measure(state: StateVector, qubits: Sequence[int], seed: int) -> Measurement
 
 def _dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n matrix of one gate, built by Kronecker products only."""
-    eye = np.eye(2, dtype=complex)
     if gate.control is not None:
-        p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        keep = [eye] * num_qubits
-        keep[gate.control] = p0
-        flip = [eye] * num_qubits
-        flip[gate.control] = p1
+        keep = [_EYE2] * num_qubits
+        keep[gate.control] = _PROJECT0
+        flip = [_EYE2] * num_qubits
+        flip[gate.control] = _PROJECT1
         flip[gate.target] = PAULI_X
-        return reduce(np.kron, keep) + reduce(np.kron, flip)
-    factors = [eye] * num_qubits
+        return reduce(_kron, keep) + reduce(_kron, flip)
+    factors = [_EYE2] * num_qubits
     factors[gate.target] = gate.matrix
-    return reduce(np.kron, factors)
+    return reduce(_kron, factors)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

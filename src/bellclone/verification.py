@@ -25,6 +25,8 @@ from .bell import (
 )
 from .cloning import UCM_REFERENCE, clone, clone_circuit, identify, tag_circuit
 from .statevector import (
+    _draw,
+    _outcome_marginal,
     Circuit,
     DensityMatrix,
     Gate,
@@ -36,7 +38,6 @@ from .statevector import (
     cnot,
     fidelity_mixed,
     fidelity_pure,
-    measure,
     measurement_distribution,
     partial_trace,
     single_qubit,
@@ -192,9 +193,8 @@ def check_born_statistics() -> CheckResult:
     """
     pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
     state = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
-    counts = {"00": 0, "01": 0, "10": 0, "11": 0}
-    for shot in range(_BORN_SHOTS):
-        counts[measure(state, (2, 3), seed=shot).outcome] += 1
+    shots = _draw(_outcome_marginal(state, [2, 3]), range(_BORN_SHOTS))
+    counts = {format(o, "02b"): int(c) for o, c in enumerate(np.bincount(shots, minlength=4))}
     sigma = math.sqrt(_BORN_SHOTS * 0.5 * 0.5)
     deviation = max(abs(counts["00"] - 5000), abs(counts["01"] - 5000)) / sigma
     if counts["10"] or counts["11"]:

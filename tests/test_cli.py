@@ -287,7 +287,7 @@ def _state_file_bytes(draw):
 @settings(max_examples=150, deadline=None)
 @given(data=st.binary(max_size=64) | _state_file_bytes())
 def test_clone_exits_0_or_2_on_arbitrary_file_bytes(tmp_path_factory, data):
-    path = tmp_path_factory.getbasetemp() / "fuzz_state.txt"
+    path = tmp_path_factory.mktemp("fuzz") / "state.txt"
     path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():

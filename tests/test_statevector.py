@@ -29,7 +29,7 @@ from bellclone import (
     tag_circuit,
     tensor,
 )
-from bellclone.statevector import HADAMARD, PAULI_X, PAULI_Z
+from bellclone.statevector import HADAMARD, PAULI_X, PAULI_Z, _kron
 from bellclone.verification import random_circuit, random_state
 
 from oracles import BELL_AMPLITUDES, SQRT_HALF, born_distribution, reduced_density
@@ -407,6 +407,31 @@ class TestMeasurementDistribution:
 
 
 class TestCircuitUnitary:
+    def test_kron_matches_numpy_byte_for_byte(self):
+        # tensor and _dense_gate use _kron in place of np.kron; every entry must
+        # be the same product, laid out the same way, on vectors and matrices.
+        rng = np.random.default_rng(2026)
+
+        def operand(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for _ in range(300):
+            for shape_a, shape_b in (
+                (tuple(rng.integers(1, 9, size=1)), tuple(rng.integers(1, 9, size=1))),
+                (tuple(rng.integers(1, 9, size=2)), tuple(rng.integers(1, 9, size=2))),
+            ):
+                a, b = operand(shape_a), operand(shape_b)
+                side = int(rng.integers(1, 9))
+                eye = np.eye(side, dtype=complex)
+                projector = np.diag(rng.integers(0, 2, size=side)).astype(complex)
+                pairs = [(a, b)]
+                if a.ndim == 2:
+                    pairs += [(eye, b), (a, eye), (projector, b), (a, projector)]
+                for x, y in pairs:
+                    got, want = _kron(x, y), np.kron(x, y)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
     def test_empty_circuit_gives_identity(self):
         assert_allclose(circuit_unitary(Circuit(2)), np.eye(4))
 

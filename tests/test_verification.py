@@ -1,8 +1,26 @@
+import math
 from dataclasses import replace
 
-from bellclone import Circuit, bell_decode_circuit, bell_encode_circuit, cnot, hadamard
+import numpy as np
+
+from bellclone import (
+    Circuit,
+    StateVector,
+    apply_circuit,
+    basis_state,
+    bell_decode_circuit,
+    bell_encode_circuit,
+    bell_state,
+    cnot,
+    hadamard,
+    measure,
+    tag_circuit,
+    tensor,
+)
+from bellclone.statevector import _draw, _outcome_marginal
 from bellclone.verification import (
     CheckResult,
+    check_born_statistics,
     check_exact_cloning,
     check_tag_subspace_action,
     run_all_checks,
@@ -61,3 +79,25 @@ def test_genuine_circuits_restore_the_checks():
 def test_checkresult_is_a_value():
     result = CheckResult("sample", 1e-10, 0.0, "note")
     assert replace(result, detail="") == CheckResult("sample", 1e-10, 0.0)
+
+
+def test_born_check_detail_is_pinned():
+    # Recorded while every shot was still a separate measure call.  Seeds
+    # 1..10,000 give the same counts as 0..9,999, so a shifted seed is left
+    # to the shot-for-shot test below.
+    result = check_born_statistics()
+    assert result.detail == "counts 00=5067 01=4933 10=0 11=0"
+    assert result.deviation == 67 / 50
+
+
+def test_batched_draw_matches_measure_shot_for_shot():
+    # The Born check's probe: the tagged (b0+b1)/sqrt(2), ancillas measured.
+    pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
+    probe = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
+    marginal = _outcome_marginal(probe, [2, 3])
+    drawn = [format(int(o), "02b") for o in _draw(marginal, range(10_000))]
+    assert drawn == [measure(probe, (2, 3), seed=s).outcome for s in range(10_000)]
+    # numpy's own weighted draw does not go through _draw, so a shifted seed shows here.
+    p = marginal / marginal.sum()
+    chosen = [np.random.default_rng(s).choice(4, p=p) for s in range(10_000)]
+    assert drawn == [format(int(o), "02b") for o in chosen]
