@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -181,6 +182,24 @@ class TestClone:
         assert "binary.txt:2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_file_exits_2_within_a_memory_limit(self):
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellclone", "clone", "--state", "/dev/zero"],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: /dev/zero: file is larger than 4194304 bytes\n"
+
     def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("clone", "--state", str(tmp_path / "absent.txt"))
         assert proc.returncode == 2
@@ -296,3 +315,52 @@ def test_clone_exits_0_or_2_on_arbitrary_file_bytes(tmp_path_factory, data):
             code = cli.main(["clone", "--state", str(path)])
     assert code in (0, 2)
     assert (code == 0) == (err.getvalue() == "")
+
+
+# verify runs for a few tenths of a second, so it is drawn one time in sixteen.
+_COMMANDS = st.sampled_from([*["demo", "clone", "matrix", None, "--help"] * 3, "verify"])
+_WORDS = st.sampled_from(["demo", "clone", "verify", "matrix", "--help", "-h", "encode", "tgp", ""])
+_VALUES = st.sampled_from(["0", "3", "-1", "4", "json", "plain", "@bell", "@missing", "@dir"])
+# An OS argv cannot carry NUL, so no drawn argument holds one.
+_TEXT = st.text(st.characters(blacklist_characters="\x00"), max_size=8)
+_OPTION = st.tuples(st.sampled_from(["--seed", "--bell", "--state", "--format"]), _VALUES | _TEXT)
+
+
+@st.composite
+def _argv(draw):
+    """A command, then up to three options with a value or lone words, in any order."""
+    command = draw(_COMMANDS)
+    groups = draw(st.lists(_OPTION | (_WORDS | _TEXT).map(lambda word: (word,)), max_size=3))
+    return ([command] if command else []) + [token for group in groups for token in group]
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    bell = write_state(folder, BELL_AMPLITUDES[2])
+    return {"@bell": bell, "@missing": str(folder / "missing.txt"), "@dir": str(folder)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_argv())
+@example(argv=["clone", "--state", "@bell", "--format", "json"])
+@example(argv=["clone", "--state", "@missing"])
+@example(argv=["demo", "--seed", "-1"])
+@example(argv=["matrix", "tgp"])
+@example(argv=["verify", "--seed", "1"])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv_paths, argv):
+    argv = [argv_paths.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    if code == 2:
+        assert err.getvalue() != ""

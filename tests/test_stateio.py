@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -129,3 +132,86 @@ def test_crlf_line_endings_parse(tmp_path):
     path.write_bytes(b"qubits 1\r\n# comment\r\n1 0\r\n0 0\r\n")
     state = read_state_file(str(path))
     assert_allclose(state.amplitudes, [1.0, 0.0])
+
+
+def test_lone_cr_endings_number_a_decode_error_like_any_other(tmp_path):
+    path = tmp_path / "state.txt"
+    path.write_bytes(b"qubits 1\r1 0\r\xff 0\r")
+    with pytest.raises(StateFileError, match=r"state.txt:3:.*UTF-8"):
+        read_state_file(str(path))
+
+
+_FILE_LIMIT = 4 * 1024 * 1024  # bytes, as the README states
+_BELL_FILE = f"qubits 2\n0 0\n{SQRT_HALF!r} 0\n{SQRT_HALF!r} 0\n0 0\n".encode()
+
+
+def padded_bell_file(size):
+    """The Bell file after comment lines that bring it to exactly ``size`` bytes."""
+    full, rest = divmod(size - len(_BELL_FILE), 1024)
+    last = b"#" * (rest - 1) + b"\n" if rest else b""
+    return (b"#" * 1023 + b"\n") * full + last + _BELL_FILE
+
+
+def small_file_amplitude_bytes(tmp_path):
+    path = tmp_path / "small.txt"
+    path.write_bytes(_BELL_FILE)
+    return read_state_file(str(path)).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("size", [300_000, _FILE_LIMIT])
+def test_padded_file_up_to_the_limit_parses_like_the_small_one(tmp_path, size):
+    path = tmp_path / "state.txt"
+    path.write_bytes(padded_bell_file(size))
+    assert path.stat().st_size == size
+    assert read_state_file(str(path)).amplitudes.tobytes() == small_file_amplitude_bytes(tmp_path)
+
+
+def test_file_one_byte_over_the_limit_is_rejected(tmp_path):
+    path = tmp_path / "state.txt"
+    path.write_bytes(padded_bell_file(_FILE_LIMIT + 1))
+    with pytest.raises(StateFileError, match=r"state.txt: file is larger than 4194304 bytes"):
+        read_state_file(str(path))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_parses_like_the_file(tmp_path):
+    fifo = tmp_path / "state.fifo"
+    os.mkfifo(fifo)
+    # Several times a pipe's buffer, so the reader gets the data in pieces.
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=(padded_bell_file(300_000),), daemon=True
+    )
+    writer.start()
+    state = read_state_file(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert state.amplitudes.tobytes() == small_file_amplitude_bytes(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("x" * 1_000_000, 1),
+        ("qubits " + "9" * 100_000, 1),
+        ("qubits 1\n1 0\n" + "z" * 1_000_000, 3),
+        ("qubits 1\n1 0\nz " + "z" * 1_000_000, 3),
+        ("qubits 1\n1 0\ninf " + "0" * 1_000_000, 3),
+    ],
+    ids=["header", "qubit-count", "field-count", "float", "magnitude"],
+)
+def test_long_file_text_is_cut_in_messages(tmp_path, monkeypatch, text, lineno):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.txt").write_text(text + "\n")
+    with pytest.raises(StateFileError) as info:
+        read_state_file("state.txt")
+    message = str(info.value)
+    assert message.startswith(f"state.txt:{lineno}: ")
+    assert len(message.encode()) < 200
+
+
+def test_short_file_text_is_quoted_whole(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.txt").write_text("qubits 1\n1 0\nzz 0\n")
+    with pytest.raises(StateFileError) as info:
+        read_state_file("state.txt")
+    assert str(info.value) == "state.txt:3: could not parse 'zz 0' as two floats"
