@@ -32,11 +32,11 @@ class StateFileError(ValueError):
     """Raised when a state file is malformed; the message carries file:line."""
 
 
-def _echo(text: str) -> str:
-    """``repr`` of file text for a message, cut after _ECHO_CHARS characters."""
+def _echo(text: str, show=repr) -> str:
+    """``show(text)`` (its ``repr`` by default) for a message, cut after _ECHO_CHARS characters."""
     if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_ECHO_CHARS])}... ({len(text)} characters)"
 
 
 def read_state_file(path: str) -> StateVector:
@@ -75,8 +75,8 @@ def read_state_file(path: str) -> StateVector:
         raise StateFileError(f"{path}:{header_lineno}: qubit count must be positive")
     if num_qubits > _MAX_FILE_QUBITS:
         raise StateFileError(
-            f"{path}:{header_lineno}: qubit count {num_qubits} exceeds the file limit "
-            f"of {_MAX_FILE_QUBITS}"
+            f"{path}:{header_lineno}: qubit count {_echo(str(num_qubits), str)} "
+            f"exceeds the file limit of {_MAX_FILE_QUBITS}"
         )
 
     expected = 2**num_qubits

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -174,6 +175,15 @@ class TestClone:
         assert "huge.txt:1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_long_over_limit_qubit_count_is_cut(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nines.txt").write_text("qubits " + "9" * 4000 + "\n0 0\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["clone", "--state", "nines.txt"]) == 2
+        assert err.getvalue().startswith("error: nines.txt:1: qubit count 9999")
+        assert len(err.getvalue().encode()) < 200
+
     def test_non_utf8_file_exits_2(self, tmp_path):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"qubits 2\n\xff\xfe 0\n")
@@ -225,6 +235,23 @@ class TestVerify:
         first = run_cli("verify", "--seed", "2")
         second = run_cli("verify", "--seed", "2")
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("0", "789530bad85ac1ef10224b5254e7051cb88bdde5c628c854864ae26aa78cb858"),
+            ("1", "22bccb7a6c597034c62e22a283d4f27711842bb04833cbef6e9bde61e4acfdb1"),
+            ("2", "73344c60f7daa462b6acc6ebffa414bbf78d8374799b41c9163df6e6c66f5bec"),
+            ("3", "1f480b53c566ea4d0bbaee7fae44153619bd1031580a5013678d5281547b1475"),
+        ],
+    )
+    def test_seeded_report_is_pinned(self, seed, digest):
+        # sha256 of the whole report, recorded while every Born shot still
+        # built its own default_rng; any moved count, deviation or detail fails.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify", "--seed", seed]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 class TestMatrix:

@@ -120,6 +120,14 @@ def test_huge_qubit_count_is_rejected_before_sizing(tmp_path, count):
         read_state_file(path)
 
 
+def test_over_limit_qubit_count_is_quoted_whole_when_short(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.txt").write_text("qubits 21\n0 0\n")
+    with pytest.raises(StateFileError) as info:
+        read_state_file("state.txt")
+    assert str(info.value) == "state.txt:1: qubit count 21 exceeds the file limit of 20"
+
+
 def test_non_utf8_bytes_are_rejected_with_their_line(tmp_path):
     path = tmp_path / "state.txt"
     path.write_bytes(b"qubits 1\n1 0\n\xff 0\n")
