@@ -19,6 +19,7 @@ import numpy as np
 
 from .bell import bell_decode_circuit, bell_encode_circuit, bell_index_of
 from .statevector import (
+    _grouped,
     Circuit,
     DensityMatrix,
     StateVector,
@@ -78,6 +79,7 @@ _TAG = Circuit(
 )
 _CLONE = Circuit(4, _TAG.gates + (hadamard(2), cnot(2, 3)))
 _ANCILLAS = basis_state("00")
+_ANCILLA_QUBITS = (2, 3)
 
 
 def tag_circuit() -> Circuit:
@@ -106,14 +108,15 @@ def identify(pair: StateVector, seed: int) -> IdentificationResult:
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
     joint = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
-    record = measure(joint, (2, 3), seed)
-    # The measured ancillas leave the pair in their outcome's column, renormalized.
-    column = joint.amplitudes.reshape(4, 4)[:, int(record.outcome, 2)]
+    record = measure(joint, _ANCILLA_QUBITS, seed)
+    index = int(record.outcome, 2)
+    # The measured ancillas leave the pair in their outcome's row, renormalized.
+    residual = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)[index]
     return IdentificationResult(
-        index=int(record.outcome, 2),
+        index=index,
         outcome_bits=record.outcome,
         probability=record.probability,
-        residual_state=StateVector(2, column / np.linalg.norm(column)),
+        residual_state=StateVector(2, residual / np.linalg.norm(residual)),
     )
 
 
@@ -127,7 +130,7 @@ def clone(pair: StateVector) -> CloneReport:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
     joint = apply_circuit(tensor(pair, _ANCILLAS), clone_circuit())
     original = partial_trace(joint, (0, 1))
-    copy = partial_trace(joint, (2, 3))
+    copy = partial_trace(joint, _ANCILLA_QUBITS)
     index = bell_index_of(pair)
     return CloneReport(
         input_label="superposition" if index is None else str(index),

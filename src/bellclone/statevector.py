@@ -8,7 +8,11 @@ Everything here is a pure function over value-semantic containers: inputs are
 never mutated and stored arrays are frozen.  Gates, measurement and partial
 trace index the amplitudes through one (2,)*n view with an axis per qubit; the
 only dense-matrix code path is circuit_unitary(), kept separate so it can serve
-as an independent cross-check of the axis-view kernels.
+as an independent cross-check of the axis-view kernels.  _grouped() is the one
+projection helper: partial_trace(), the Born marginal, a record's post_state
+and identify()'s residual pair all take the rows it makes by moving a group of
+qubits first.  Every caller array passes one intake check,
+_frozen_complex_array(), for its shape and finite entries.
 
 A state's invariants are checked where a public function returns it, not on
 intermediate values: apply_circuit() runs every gate on the bare axis view and
@@ -30,6 +34,7 @@ np.kron, through _kron().
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -67,10 +72,27 @@ _NAMED_MATRICES = {"hadamard": HADAMARD, "pauli_x": PAULI_X, "pauli_z": PAULI_Z}
 _GATE_KINDS = (*_NAMED_MATRICES, "cnot", "single_qubit")
 
 
-def _frozen_complex_array(values, shape=None) -> np.ndarray:
+def _require_integer(value, what: str) -> None:
+    """Reject anything but a Python or numpy integer, as ``operator.index`` decides."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _require_qubit_count(num_qubits) -> None:
+    _require_integer(num_qubits, "num_qubits")
+    if num_qubits < 1:
+        raise ValueError("num_qubits must be positive")
+
+
+def _frozen_complex_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A caller's array as a frozen complex copy, checked for its shape and finite entries."""
     arr = np.array(values, dtype=complex)
-    if shape is not None and arr.shape != shape:
+    if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -83,11 +105,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
-        amps = _frozen_complex_array(self.amplitudes, shape=(2**self.num_qubits,))
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
+        _require_qubit_count(self.num_qubits)
+        amps = _frozen_complex_array(self.amplitudes, (2**self.num_qubits,), "amplitudes")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > _NORM_ATOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -102,12 +121,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
+        _require_qubit_count(self.num_qubits)
         dim = 2**self.num_qubits
-        mat = _frozen_complex_array(self.matrix, shape=(dim, dim))
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
+        mat = _frozen_complex_array(self.matrix, (dim, dim), "matrix entries")
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_ATOL:
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(mat) - 1.0) > _TRACE_ATOL:
@@ -135,11 +151,13 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        _require_integer(self.target, "target index")
         if self.target < 0:
             raise ValueError("target index must be non-negative")
         if self.kind == "cnot":
             if self.control is None:
                 raise ValueError("cnot requires a control index")
+            _require_integer(self.control, "control index")
             if self.control < 0:
                 raise ValueError("control index must be non-negative")
             if self.control == self.target:
@@ -147,7 +165,7 @@ class Gate:
         elif self.control is not None:
             raise ValueError(f"{self.kind} takes no control qubit")
         if self.kind == "single_qubit":
-            mat = _frozen_complex_array(self.matrix, shape=(2, 2))
+            mat = _frozen_complex_array(self.matrix, (2, 2), "single_qubit matrix entries")
             if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > 1e-12:
                 raise ValueError("single_qubit matrix is not unitary")
         elif self.matrix is not None:
@@ -191,8 +209,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
+        _require_qubit_count(self.num_qubits)
         gates = tuple(self.gates)
         for gate in gates:
             for q in gate.qubits:
@@ -232,9 +249,10 @@ class MeasurementRecord:
     @cached_property
     def post_state(self) -> StateVector:
         n, amps = self.input_state.num_qubits, self.input_state.amplitudes
-        pins = [(q, int(bit)) for q, bit in zip(self.measured_qubits, self.outcome)]
+        # Row k of the grouped indices lists the amplitudes consistent with outcome k.
+        kept = _grouped(np.arange(2**n), n, self.measured_qubits)[int(self.outcome, 2)]
         projected = np.zeros_like(amps)
-        _slot(_axes(projected, n), *pins)[...] = _slot(_axes(amps, n), *pins)
+        projected[kept] = amps[kept]
         return StateVector(n, projected / np.linalg.norm(projected))
 
 
@@ -252,21 +270,18 @@ def _axes(values: np.ndarray, num_qubits: int) -> np.ndarray:
     return values.reshape((2,) * num_qubits)
 
 
-def _slot(view: np.ndarray, *pins: tuple[int, int]) -> np.ndarray:
-    """Sub-view of an axis view with each (qubit, bit) pin fixed, keeping every axis.
+def _slot(view: np.ndarray, qubit: int, bit: int) -> np.ndarray:
+    """Sub-view of an axis view with ``qubit`` pinned to ``bit``, keeping every axis.
 
-    Pins are length-1 slices: a 0-d result would round differently in numpy's scalar path.
+    The pin is a length-1 slice: a 0-d result would round differently in numpy's scalar path.
     """
-    index = [slice(None)] * view.ndim
-    for qubit, bit in pins:
-        index[qubit] = slice(bit, bit + 1)
-    return view[tuple(index)]
+    return view[(slice(None),) * qubit + (slice(bit, bit + 1),)]
 
 
-def _grouped(values: np.ndarray, num_qubits: int, first: list[int]) -> np.ndarray:
+def _grouped(values: np.ndarray, num_qubits: int, first: Sequence[int]) -> np.ndarray:
     """Matrix of a length-2^n array: rows run over ``first`` (in order), columns the rest."""
     rest = [q for q in range(num_qubits) if q not in first]
-    return np.transpose(_axes(values, num_qubits), first + rest).reshape(2 ** len(first), -1)
+    return np.transpose(_axes(values, num_qubits), [*first, *rest]).reshape(2 ** len(first), -1)
 
 
 def _gate_kernel(view: np.ndarray, gate: Gate) -> np.ndarray:
@@ -276,10 +291,10 @@ def _gate_kernel(view: np.ndarray, gate: Gate) -> np.ndarray:
         # Matrix column j, laid along the target axis, scales the target=j half.
         column = (1,) * t + (2,) + (1,) * (view.ndim - 1 - t)
         m0, m1 = gate.matrix[:, 0].reshape(column), gate.matrix[:, 1].reshape(column)
-        return m0 * _slot(view, (t, 0)) + m1 * _slot(view, (t, 1))
+        return m0 * _slot(view, t, 0) + m1 * _slot(view, t, 1)
     # Keep the control=0 half; swap the target halves of the control=1 half.
     reverse_target = (slice(None),) * t + (slice(None, None, -1),)
-    return np.concatenate((_slot(view, (c, 0)), _slot(view, (c, 1))[reverse_target]), axis=c)
+    return np.concatenate((_slot(view, c, 0), _slot(view, c, 1)[reverse_target]), axis=c)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -328,6 +343,8 @@ def _checked_qubits(num_qubits: int, qubits: Sequence[int]) -> list[int]:
     qubits = list(qubits)
     if not qubits:
         raise ValueError("at least one qubit index is required")
+    for q in qubits:
+        _require_integer(q, "qubit index")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"qubit indices must be distinct, got {qubits}")
     for q in qubits:

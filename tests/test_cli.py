@@ -254,6 +254,41 @@ class TestVerify:
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded before the engine's projections all went through
+# _grouped; "@bell" and "@superposition" are the files the clone tests write.
+_PINNED_STDOUT = [
+    ("demo --seed 0", "b27d23c037c6a569e686077c790cf42f81d0a662d69d37e9ecd406656d6ac58d"),
+    ("demo --seed 0 --format json", "41a399dba96fc0dc7dd7e68ff3e8fdecd678fb8062d97d420d14d5567ab34d6e"),
+    ("demo --seed 1", "91da6172d1034789710a837a37add16d09ada6088d9b15e486c19f15f930d28b"),
+    ("demo --seed 1 --format json", "1601fa79cabf2be038b8337da9a7de9f23eed685addbdf8795f475aae256f93d"),
+    ("demo --seed 5", "c05e0b276d29205b777a1b9abe33ab2df0f1e49e53b964c3b044b8eb0bbff282"),
+    ("demo --seed 5 --format json", "369574beb326b496d93052fdcb23b84e90369b6eca3994deb6f31c25529dcdbf"),
+    ("matrix encode", "039ab909566860bcb1049f1c998e237152403952c46a14f07611c54e2e98d8c6"),
+    ("matrix decode", "45f429e28a86aeb52f0929c7c292176c92a578d2b42326134119ea942beb3c1d"),
+    ("matrix tgp", "8a0d77220c48018a01fff925843c67ffae261ddb3e8ca1f2eeb14b216b73d3e6"),
+    ("matrix clone", "ef89db8cfbfaede8de995021d4dcd78fc7e6dfa7af41ae086870529afc7e2539"),
+    ("clone --state @bell", "38e0eec3af4b2256406e7d7bc5554c19b078423211e990a7faa6477da26279ea"),
+    ("clone --state @bell --format json", "9fc65d022f2bb16452ba9e1e136e06238df4a29e9cdb33b7b39c28626aa559c7"),
+    ("clone --state @superposition", "dbe9af32432b9773457fb45b8d2059ce11df58e0443b9ac956254be4cb476004"),
+    ("clone --state @superposition --format json", "f7d5ab7169229d03eac64f6e961706c8ff40bc50fb89f1a39883a3e0713c52a8"),
+]
+
+
+@pytest.mark.parametrize("command, digest", _PINNED_STDOUT)
+def test_report_bytes_are_pinned(tmp_path, command, digest):
+    files = {
+        "@bell": write_state(tmp_path, BELL_AMPLITUDES[1], name="bell.txt"),
+        "@superposition": write_state(
+            tmp_path, (BELL_AMPLITUDES[0] + BELL_AMPLITUDES[1]) / math.sqrt(2), name="sup.txt"
+        ),
+    }
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([files.get(token, token) for token in command.split()])
+    assert (code, err.getvalue()) == (0, "")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 class TestMatrix:
     @staticmethod
     def parse(stdout):

@@ -108,6 +108,68 @@ class TestGateValidation:
             Circuit(1, (cnot(0, 1),))
 
 
+class TestCallerInputIntake:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_gate_matrix_must_be_finite(self, entry):
+        # A NaN slips past the unitarity test, since nan > tol is False.
+        with pytest.raises(ValueError, match="single_qubit matrix entries must be finite"):
+            single_qubit(0, [[entry, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda count: StateVector(count, [1.0, 0.0, 0.0, 0.0]),
+            lambda count: DensityMatrix(count, np.eye(4) / 4),
+            lambda count: Circuit(count),
+        ],
+        ids=["StateVector", "DensityMatrix", "Circuit"],
+    )
+    @pytest.mark.parametrize("count", [2.0, "2"], ids=["float", "str"])
+    def test_qubit_count_must_be_an_integer(self, build, count):
+        with pytest.raises(ValueError, match="num_qubits must be an integer"):
+            build(count)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: hadamard(0.5), "target index"),
+            (lambda: pauli_x(1.0), "target index"),
+            (lambda: single_qubit(0.0, np.eye(2)), "target index"),
+            (lambda: cnot(0.0, 1), "control index"),
+            (lambda: cnot(0, 1.0), "target index"),
+        ],
+        ids=["hadamard", "pauli_x", "single_qubit", "cnot-control", "cnot-target"],
+    )
+    def test_gate_indices_must_be_integers(self, build, match):
+        with pytest.raises(ValueError, match=f"{match} must be an integer"):
+            build()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda qubits: measure(bell(0), qubits, seed=0),
+            lambda qubits: partial_trace(bell(0), qubits),
+            lambda qubits: measurement_distribution(bell(0), qubits),
+            lambda qubits: MeasurementRecord(tuple(qubits), "0", 0.5, input_state=bell(0)),
+        ],
+        ids=["measure", "partial_trace", "measurement_distribution", "MeasurementRecord"],
+    )
+    @pytest.mark.parametrize("qubits", [[0.0], [1.0], ["0"]], ids=["0.0", "1.0", "str"])
+    def test_qubit_indices_must_be_integers(self, call, qubits):
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            call(qubits)
+
+    def test_numpy_integers_are_accepted(self):
+        state = StateVector(np.int64(2), bell(0).amplitudes)
+        circuit = Circuit(np.int64(2), (hadamard(np.int32(0)), cnot(np.int8(0), np.uint8(1))))
+        out = apply_circuit(state, circuit)
+        expected = apply_circuit(bell(0), Circuit(2, (hadamard(0), cnot(0, 1))))
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert measure(out, [np.int64(1)], seed=0).outcome == measure(out, [1], seed=0).outcome
+        assert np.array_equal(partial_trace(out, [np.int64(0)]).matrix, partial_trace(out, [0]).matrix)
+        assert DensityMatrix(np.int64(1), np.eye(2) / 2).num_qubits == 1
+
+
 class TestApplyGate:
     def test_hadamard_on_left_qubit_of_00(self):
         out = apply_gate(basis_state("00"), hadamard(0))

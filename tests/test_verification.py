@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from bellclone import (
     Circuit,
@@ -11,17 +12,23 @@ from bellclone import (
     bell_decode_circuit,
     bell_encode_circuit,
     bell_state,
+    cloning,
     cnot,
     hadamard,
     measure,
     tag_circuit,
     tensor,
+    verification,
 )
 from bellclone.statevector import _draw, _outcome_marginal
 from bellclone.verification import (
     CheckResult,
     check_born_statistics,
+    check_clone_fidelity_vs_ucm,
     check_exact_cloning,
+    check_identification_point_mass,
+    check_no_cloning_curve,
+    check_nondisturbance,
     check_tag_subspace_action,
     run_all_checks,
 )
@@ -69,6 +76,28 @@ def test_mutated_tagger_is_caught():
 def test_mutated_cloner_is_caught():
     broken = Circuit(4, _swapped_tagger().gates + (hadamard(2), cnot(2, 3)))
     assert not check_exact_cloning(broken).passed
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_identification_point_mass,
+        check_nondisturbance,
+        check_no_cloning_curve,
+        check_clone_fidelity_vs_ucm,
+    ],
+)
+def test_swapped_tagger_fails_the_checks_without_a_circuit_hook(check, monkeypatch):
+    # These checks reach the circuits through identify, clone and tag_circuit,
+    # so the mutation is patched in where those look the builders up.
+    swapped = _swapped_tagger()
+    swapped_cloner = Circuit(4, swapped.gates + (hadamard(2), cnot(2, 3)))
+    monkeypatch.setattr(cloning, "tag_circuit", lambda: swapped)
+    monkeypatch.setattr(verification, "tag_circuit", lambda: swapped)
+    monkeypatch.setattr(cloning, "clone_circuit", lambda: swapped_cloner)
+    result = check()
+    assert not result.passed
+    assert result.deviation > 0.1
 
 
 def test_genuine_circuits_restore_the_checks():
