@@ -12,8 +12,9 @@ Every constant and operand is an explicit np.uint64, so numpy's legacy
 value-based casting and NEP 50 promotion give the same dtypes.  The tests
 have been run on numpy 2.4.6 only, not on the older versions (from 1.24)
 that pyproject.toml allows.  Seeds of 2**32 or more take more than one
-entropy word and are not handled here; statevector._draw keeps them, and
-every negative seed, on default_rng itself.
+entropy word and are not handled here.  The one caller is verify's Born
+check, whose shot seeds all lie in range; measure() takes a caller's seed,
+so it draws its variate from default_rng(seed) itself.
 """
 
 from __future__ import annotations

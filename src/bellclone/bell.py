@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .statevector import SQRT1_2, Circuit, StateVector, cnot, fidelity_pure, hadamard
+from .statevector import (
+    SQRT1_2,
+    Circuit,
+    StateVector,
+    _require_integer,
+    cnot,
+    fidelity_pure,
+    hadamard,
+)
 
 BELL_INDICES = (0, 1, 2, 3)
 
@@ -22,17 +30,22 @@ _BELL_ROWS = ((1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1), (0, 1, -1, 0))
 _BELL_STATES = {i: StateVector(2, SQRT1_2 * np.array(row)) for i, row in enumerate(_BELL_ROWS)}
 
 
-def bell_state(index: int) -> StateVector:
-    """Bell basis element of the given index (0..3), one shared state per index."""
+def _check_index(index) -> None:
+    """Reject anything but a Python or numpy integer in 0..3."""
+    _require_integer(index, "Bell index")
     if index not in BELL_INDICES:
         raise ValueError(f"Bell index must be 0..3, got {index!r}")
+
+
+def bell_state(index: int) -> StateVector:
+    """Bell basis element of the given index (0..3), one shared state per index."""
+    _check_index(index)
     return _BELL_STATES[index]
 
 
 def origin_bits(index: int) -> str:
     """Two-bit label whose basis state encodes to the Bell state of this index."""
-    if index not in BELL_INDICES:
-        raise ValueError(f"Bell index must be 0..3, got {index!r}")
+    _check_index(index)
     return format(index, "02b")
 
 

@@ -20,16 +20,14 @@ validates the final state once, and apply_gate() is a one-gate circuit.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
-choice bit for bit.  The lookup is one helper over a batch of seeds, _draw():
-measure() is its one-seed call, and verify's Born check draws all its shots
-from one CDF through it.  A batch of more than _VECTOR_CROSSOVER seeds, all in
-[0, 2**32), gets its variates from _seeded_random.random_for_seeds(), which
-mirrors SeedSequence and PCG64 in uint64 numpy arithmetic and equals
-default_rng(seed).random() bit for bit; every other batch, single seeds
-included, builds one default_rng per seed.  A record builds the
-post-measurement state on first read, so callers that only need the outcome
-never pay for it.  tensor() and circuit_unitary() form the same products as
-np.kron, through _kron().
+choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
+variates and knows nothing of seeds; each caller supplies its own.  measure()
+passes default_rng(seed).random(), so numpy accepts or rejects every seed.
+verify's Born check passes the variates of all its shots from
+_seeded_random.random_for_seeds(), one vector pass equal to default_rng bit
+for bit.  A record builds the post-measurement state on first read, so callers
+that only need the outcome never pay for it.  tensor() and circuit_unitary()
+form the same products as np.kron, through _kron().
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
-
-from ._seeded_random import random_for_seeds
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -63,10 +59,6 @@ _HERMITIAN_ATOL = 1e-12
 _TRACE_ATOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 _PROBABILITY_SLACK = 1e-12
-# Batches of more seeds than this draw their variates in one vector pass.  On a
-# 2-vCPU Xeon with numpy 2.4.6 the pass cost 190-360 us for 1 to 64 seeds and
-# one default_rng(seed).random() 11-18 us, so the two met at about 20 seeds.
-_VECTOR_CROSSOVER = 20
 
 _NAMED_MATRICES = {"hadamard": HADAMARD, "pauli_x": PAULI_X, "pauli_z": PAULI_Z}
 _GATE_KINDS = (*_NAMED_MATRICES, "cnot", "single_qubit")
@@ -382,24 +374,11 @@ def measurement_distribution(state: StateVector, qubits: Sequence[int]) -> dict[
     return {format(o, f"0{width}b"): float(p) for o, p in enumerate(marginal)}
 
 
-def _variates(seeds: Sequence[int]) -> np.ndarray:
-    """default_rng(seed).random() per seed, in one vector pass for a large batch of 32-bit seeds.
-
-    Any other batch, including one with a negative seed, goes through default_rng
-    itself, so it is accepted or rejected as default_rng decides.
-    """
-    if len(seeds) > _VECTOR_CROSSOVER:
-        batch = np.asarray(seeds)
-        if batch.dtype.kind in "iu" and 0 <= batch.min() and batch.max() < 2**32:
-            return random_for_seeds(batch)
-    return np.array([np.random.default_rng(seed).random() for seed in seeds])
-
-
-def _draw(marginal: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-    """Outcome index per seed: one default_rng(seed) variate looked up in the CDF, as in choice."""
+def _draw(marginal: np.ndarray, variates: np.ndarray | float) -> np.ndarray:
+    """Outcome index per uniform variate, looked up in the normalized CDF as choice does."""
     cdf = np.cumsum(marginal / marginal.sum())
     cdf /= cdf[-1]
-    return cdf.searchsorted(_variates(seeds), side="right")
+    return cdf.searchsorted(variates, side="right")
 
 
 def measure(state: StateVector, qubits: Sequence[int], seed: int) -> MeasurementRecord:
@@ -414,7 +393,7 @@ def measure(state: StateVector, qubits: Sequence[int], seed: int) -> Measurement
     """
     qubits = _checked_qubits(state.num_qubits, qubits)
     marginal = _outcome_marginal(state, qubits)
-    outcome_index = int(_draw(marginal, (seed,))[0])
+    outcome_index = int(_draw(marginal, np.random.default_rng(seed).random()))
     return MeasurementRecord(
         measured_qubits=tuple(qubits),
         outcome=format(outcome_index, f"0{len(qubits)}b"),

@@ -23,6 +23,7 @@ from .bell import (
     bell_state,
     origin_bits,
 )
+from ._seeded_random import random_for_seeds
 from .cloning import UCM_REFERENCE, clone, clone_circuit, identify, tag_circuit
 from .statevector import (
     _draw,
@@ -193,7 +194,7 @@ def check_born_statistics() -> CheckResult:
     """
     pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
     state = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
-    shots = _draw(_outcome_marginal(state, [2, 3]), range(_BORN_SHOTS))
+    shots = _draw(_outcome_marginal(state, [2, 3]), random_for_seeds(np.arange(_BORN_SHOTS)))
     counts = {format(o, "02b"): int(c) for o, c in enumerate(np.bincount(shots, minlength=4))}
     sigma = math.sqrt(_BORN_SHOTS * 0.5 * 0.5)
     deviation = max(abs(counts["00"] - 5000), abs(counts["01"] - 5000)) / sigma

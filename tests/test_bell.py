@@ -38,6 +38,18 @@ def test_bell_state_rejects_bad_index():
         bell_state(-1)
 
 
+@pytest.mark.parametrize("function", [bell_state, origin_bits])
+@pytest.mark.parametrize("index", [1.0, np.float64(2.0)], ids=["float", "np.float64"])
+def test_non_integer_index_is_rejected(function, index):
+    with pytest.raises(ValueError, match="Bell index must be an integer"):
+        function(index)
+
+
+def test_numpy_integer_index_is_accepted():
+    assert bell_state(np.int64(2)) is bell_state(2)
+    assert origin_bits(np.int64(2)) == "10"
+
+
 def test_origin_bits_bijection():
     assert [origin_bits(i) for i in BELL_INDICES] == ["00", "01", "10", "11"]
     with pytest.raises(ValueError):

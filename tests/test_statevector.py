@@ -394,6 +394,21 @@ class TestMeasurement:
             chosen = np.random.default_rng(seed).choice(marginal.size, p=marginal / marginal.sum())
             assert measure(state, qubits, seed=seed).outcome == format(chosen, f"0{width}b")
 
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 3])
+    def test_large_seed_gives_numpys_choice(self, seed):
+        state = random_state(3, np.random.default_rng(41))
+        marginal = np.array(list(measurement_distribution(state, [0, 2]).values()))
+        chosen = np.random.default_rng(seed).choice(4, p=marginal / marginal.sum())
+        assert measure(state, [0, 2], seed=seed).outcome == format(chosen, "02b")
+
+    def test_negative_seed_raises_numpys_own_error(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as measure_error:
+            measure(bell(0), [0], seed=-1)
+        assert type(measure_error.value) is type(numpy_error.value)
+        assert str(measure_error.value) == str(numpy_error.value)
+
     def test_post_state_is_the_eager_projection(self):
         rng = np.random.default_rng(8)
         for seed in range(300):

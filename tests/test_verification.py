@@ -20,6 +20,7 @@ from bellclone import (
     tensor,
     verification,
 )
+from bellclone._seeded_random import random_for_seeds
 from bellclone.statevector import _draw, _outcome_marginal
 from bellclone.verification import (
     CheckResult,
@@ -119,12 +120,29 @@ def test_born_check_detail_is_pinned():
     assert result.deviation == 67 / 50
 
 
+def test_born_check_draws_its_shots_in_one_vector_pass(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the Born check built a default_rng")
+
+    batches = []
+
+    def spy(seeds):
+        batches.append(len(seeds))
+        return random_for_seeds(seeds)
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(verification, "random_for_seeds", spy)
+    assert check_born_statistics().detail == "counts 00=5067 01=4933 10=0 11=0"
+    assert batches == [10_000]
+
+
 def test_batched_draw_matches_measure_shot_for_shot():
     # The Born check's probe: the tagged (b0+b1)/sqrt(2), ancillas measured.
     pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
     probe = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
     marginal = _outcome_marginal(probe, [2, 3])
-    drawn = [format(int(o), "02b") for o in _draw(marginal, range(10_000))]
+    variates = random_for_seeds(np.arange(10_000))
+    drawn = [format(int(o), "02b") for o in _draw(marginal, variates)]
     assert drawn == [measure(probe, (2, 3), seed=s).outcome for s in range(10_000)]
     # numpy's own weighted draw does not go through _draw, so a shifted seed shows here.
     p = marginal / marginal.sum()
