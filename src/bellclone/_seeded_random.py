@@ -12,9 +12,9 @@ Every constant and operand is an explicit np.uint64, so numpy's legacy
 value-based casting and NEP 50 promotion give the same dtypes.  The tests
 have been run on numpy 2.4.6 only, not on the older versions (from 1.24)
 that pyproject.toml allows.  Seeds of 2**32 or more take more than one
-entropy word and are not handled here.  The one caller is verify's Born
-check, whose shot seeds all lie in range; measure() takes a caller's seed,
-so it draws its variate from default_rng(seed) itself.
+entropy word and are rejected, as are negative and non-integer seeds.
+The one caller is verify's Born check, whose shot seeds all lie in range;
+measure() takes a caller's seed and draws from default_rng(seed) itself.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ def _seed_state(seeds: np.ndarray) -> list[np.ndarray]:
 
 def random_for_seeds(seeds) -> np.ndarray:
     """float64 array: ``default_rng(s).random()`` for each seed s, all in [0, 2**32)."""
-    state = _seed_state(np.asarray(seeds, dtype=np.uint64))
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "iu" or seeds.size and not 0 <= seeds.min() <= seeds.max() < 2**32:
+        raise ValueError("seeds must be integers in [0, 2**32)")
+    state = _seed_state(seeds.astype(np.uint64))
     # PCG64 seeding, srandom(initstate, initseq): state = 0, inc = initseq << 1 | 1,
     # step, state += initstate, step; then random() steps once more and outputs.
     initstate, initseq = (state[0], state[1]), (state[2], state[3])

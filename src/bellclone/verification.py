@@ -3,9 +3,8 @@
 Each check exercises one library invariant and reports the largest deviation
 it observed next to the tolerance it is held to.  Randomized checks derive
 their generator from an explicit seed, so a given seed always produces the
-identical report.  Checks that probe the tagging and cloning transforms
-accept an optional replacement circuit; the test suite uses that hook to
-confirm a deliberately broken circuit is caught.
+identical report.  Checks look the fixed circuits up in their home modules
+each time they run, so a circuit patched there is the one they check.
 """
 
 from __future__ import annotations
@@ -15,16 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (
-    BELL_INDICES,
-    bell_decode_circuit,
-    bell_encode_circuit,
-    bell_index_of,
-    bell_state,
-    origin_bits,
-)
+from . import bell, cloning
 from ._seeded_random import random_for_seeds
-from .cloning import UCM_REFERENCE, clone, clone_circuit, identify, tag_circuit
+from .bell import BELL_INDICES, bell_index_of, bell_state, origin_bits
+from .cloning import _ANCILLA_QUBITS, _ANCILLAS, UCM_REFERENCE, clone, identify
 from .statevector import (
     _draw,
     _outcome_marginal,
@@ -193,8 +186,9 @@ def check_born_statistics() -> CheckResult:
     other two outcomes are impossible, so any stray count is an instant fail.
     """
     pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
-    state = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
-    shots = _draw(_outcome_marginal(state, [2, 3]), random_for_seeds(np.arange(_BORN_SHOTS)))
+    state = apply_circuit(tensor(pair, _ANCILLAS), cloning.tag_circuit())
+    marginal = _outcome_marginal(state, _ANCILLA_QUBITS)
+    shots = _draw(marginal, random_for_seeds(np.arange(_BORN_SHOTS)))
     counts = {format(o, "02b"): int(c) for o, c in enumerate(np.bincount(shots, minlength=4))}
     sigma = math.sqrt(_BORN_SHOTS * 0.5 * 0.5)
     deviation = max(abs(counts["00"] - 5000), abs(counts["01"] - 5000)) / sigma
@@ -245,7 +239,7 @@ def check_bell_orthonormality() -> CheckResult:
 
 def check_encode_columns() -> CheckResult:
     """The encoder's dense unitary has the four Bell states as its columns."""
-    unitary = circuit_unitary(bell_encode_circuit())
+    unitary = circuit_unitary(bell.bell_encode_circuit())
     worst = max(
         _max_abs(unitary[:, i] - bell_state(i).amplitudes) for i in BELL_INDICES
     )
@@ -253,7 +247,8 @@ def check_encode_columns() -> CheckResult:
 
 
 def check_decode_encode_identity() -> CheckResult:
-    product = circuit_unitary(bell_decode_circuit()) @ circuit_unitary(bell_encode_circuit())
+    decode, encode = bell.bell_decode_circuit(), bell.bell_encode_circuit()
+    product = circuit_unitary(decode) @ circuit_unitary(encode)
     return CheckResult(
         "decode-encode-identity", EXACT_ATOL, _max_abs(product - np.eye(4))
     )
@@ -261,7 +256,7 @@ def check_decode_encode_identity() -> CheckResult:
 
 def check_bell_roundtrip() -> CheckResult:
     """Encoding |bin(i)> and recognizing the result recovers i, for every i."""
-    encode = bell_encode_circuit()
+    encode = bell.bell_encode_circuit()
     bad = [
         i
         for i in BELL_INDICES
@@ -271,23 +266,23 @@ def check_bell_roundtrip() -> CheckResult:
     return CheckResult("bell-roundtrip", 0.0, float(len(bad)), detail)
 
 
-def check_tag_subspace_action(circuit: Circuit | None = None) -> CheckResult:
+def check_tag_subspace_action() -> CheckResult:
     """Tagging writes bin(i) onto the ancillas and leaves the pair alone, in raw amplitudes."""
-    circuit = tag_circuit() if circuit is None else circuit
+    circuit = cloning.tag_circuit()
     worst = 0.0
     for i in BELL_INDICES:
-        out = apply_circuit(tensor(bell_state(i), basis_state("00")), circuit)
+        out = apply_circuit(tensor(bell_state(i), _ANCILLAS), circuit)
         expected = np.kron(bell_state(i).amplitudes, basis_state(origin_bits(i)).amplitudes)
         worst = max(worst, _max_abs(out.amplitudes - expected))
     return CheckResult("tag-subspace-action", EXACT_ATOL, worst)
 
 
-def check_exact_cloning(circuit: Circuit | None = None) -> CheckResult:
+def check_exact_cloning() -> CheckResult:
     """Cloning a Bell basis element yields the exact doubled product state."""
-    circuit = clone_circuit() if circuit is None else circuit
+    circuit = cloning.clone_circuit()
     worst = 0.0
     for i in BELL_INDICES:
-        out = apply_circuit(tensor(bell_state(i), basis_state("00")), circuit)
+        out = apply_circuit(tensor(bell_state(i), _ANCILLAS), circuit)
         expected = np.kron(bell_state(i).amplitudes, bell_state(i).amplitudes)
         worst = max(worst, _max_abs(out.amplitudes - expected))
     return CheckResult("exact-cloning", EXACT_ATOL, worst)
@@ -295,11 +290,11 @@ def check_exact_cloning(circuit: Circuit | None = None) -> CheckResult:
 
 def check_identification_point_mass() -> CheckResult:
     """After tagging, the ancilla distribution is a point mass at bin(i)."""
-    circuit = tag_circuit()
+    circuit = cloning.tag_circuit()
     worst = 0.0
     for i in BELL_INDICES:
-        tagged = apply_circuit(tensor(bell_state(i), basis_state("00")), circuit)
-        dist = measurement_distribution(tagged, (2, 3))
+        tagged = apply_circuit(tensor(bell_state(i), _ANCILLAS), circuit)
+        dist = measurement_distribution(tagged, _ANCILLA_QUBITS)
         for bits, prob in dist.items():
             target = 1.0 if bits == origin_bits(i) else 0.0
             worst = max(worst, abs(prob - target))
@@ -322,7 +317,7 @@ def check_nondisturbance() -> CheckResult:
 
 def check_transform_unitarity() -> CheckResult:
     worst = 0.0
-    for circuit in (tag_circuit(), clone_circuit()):
+    for circuit in (cloning.tag_circuit(), cloning.clone_circuit()):
         unitary = circuit_unitary(circuit)
         worst = max(worst, _max_abs(unitary.conj().T @ unitary - np.eye(16)))
     return CheckResult("transform-unitarity", COMPOSED_ATOL, worst)

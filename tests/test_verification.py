@@ -9,13 +9,16 @@ from bellclone import (
     StateVector,
     apply_circuit,
     basis_state,
+    bell,
     bell_decode_circuit,
     bell_encode_circuit,
     bell_state,
+    cli,
+    clone_circuit,
     cloning,
     cnot,
-    hadamard,
     measure,
+    pauli_z,
     tag_circuit,
     tensor,
     verification,
@@ -24,8 +27,11 @@ from bellclone._seeded_random import random_for_seeds
 from bellclone.statevector import _draw, _outcome_marginal
 from bellclone.verification import (
     CheckResult,
+    check_bell_roundtrip,
     check_born_statistics,
     check_clone_fidelity_vs_ucm,
+    check_decode_encode_identity,
+    check_encode_columns,
     check_exact_cloning,
     check_identification_point_mass,
     check_no_cloning_curve,
@@ -59,46 +65,77 @@ def test_boundary_deviation_counts_as_passing():
     assert not CheckResult("x", 1e-12, 2e-12).passed
 
 
-def _swapped_tagger() -> Circuit:
-    """Tagging circuit with the encode and decode stages interchanged."""
-    decode = bell_decode_circuit().gates
-    encode = bell_encode_circuit().gates
-    return Circuit(4, encode + (cnot(0, 2), cnot(1, 3)) + decode)
+def _tagger_mutant(tagger: Circuit) -> tuple:
+    """cloning's builders, patched to run this tagger with the genuine cloner's tail."""
+    cloner = Circuit(4, tagger.gates + clone_circuit().gates[len(tag_circuit().gates):])
+    return cloning, {"tag_circuit": lambda: tagger, "clone_circuit": lambda: cloner}
 
 
-def test_mutated_tagger_is_caught():
-    # Deliberate mutation: running encode before the fan-out (instead of
-    # decode) must break the tagging action, and the check must see it.
-    result = check_tag_subspace_action(_swapped_tagger())
-    assert not result.passed
-    assert result.deviation > 0.1
+_DECODE, _ENCODE = bell_decode_circuit().gates, bell_encode_circuit().gates
+# Encode and decode interchanged around the fan-out.
+_SWAPPED = _tagger_mutant(Circuit(4, _ENCODE + (cnot(0, 2), cnot(1, 3)) + _DECODE))
+# The second fan-out CNOT dropped: the ancillas only ever read 00 or 10.
+_NO_FANOUT = _tagger_mutant(Circuit(4, _DECODE + (cnot(0, 2),) + _ENCODE))
+# The encoder with a stray phase: |00> now encodes to b2, not b0.
+_PHASED_ENCODER = (bell, {"bell_encode_circuit": lambda: Circuit(2, _ENCODE + (pauli_z(1),))})
+_PROTOCOL_CHECKS = [
+    check_tag_subspace_action,
+    check_exact_cloning,
+    check_identification_point_mass,
+    check_nondisturbance,
+    check_no_cloning_curve,
+    check_clone_fidelity_vs_ucm,
+]
 
 
-def test_mutated_cloner_is_caught():
-    broken = Circuit(4, _swapped_tagger().gates + (hadamard(2), cnot(2, 3)))
-    assert not check_exact_cloning(broken).passed
+def _patch(monkeypatch, mutant) -> None:
+    module, builders = mutant
+    for name, builder in builders.items():
+        monkeypatch.setattr(module, name, builder)
+
+
+_CASES = [
+    ("swapped", _SWAPPED, _PROTOCOL_CHECKS),
+    ("no-fanout", _NO_FANOUT, [check_born_statistics, *_PROTOCOL_CHECKS]),
+    (
+        "phased-encoder",
+        _PHASED_ENCODER,
+        [check_encode_columns, check_decode_encode_identity, check_bell_roundtrip],
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "check",
+    "mutant, check",
     [
-        check_identification_point_mass,
-        check_nondisturbance,
-        check_no_cloning_curve,
-        check_clone_fidelity_vs_ucm,
+        pytest.param(mutant, check, id=f"{label}-{check.__name__.removeprefix('check_')}")
+        for label, mutant, checks in _CASES
+        for check in checks
     ],
 )
-def test_swapped_tagger_fails_the_checks_without_a_circuit_hook(check, monkeypatch):
-    # These checks reach the circuits through identify, clone and tag_circuit,
-    # so the mutation is patched in where those look the builders up.
-    swapped = _swapped_tagger()
-    swapped_cloner = Circuit(4, swapped.gates + (hadamard(2), cnot(2, 3)))
-    monkeypatch.setattr(cloning, "tag_circuit", lambda: swapped)
-    monkeypatch.setattr(verification, "tag_circuit", lambda: swapped)
-    monkeypatch.setattr(cloning, "clone_circuit", lambda: swapped_cloner)
+def test_home_module_mutant_fails(mutant, check, monkeypatch):
+    # The checks look every builder up in its home module, so patching that
+    # module alone reaches them, through identify and clone too.
+    _patch(monkeypatch, mutant)
     result = check()
     assert not result.passed
     assert result.deviation > 0.1
+
+
+def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
+    _patch(monkeypatch, _NO_FANOUT)
+    assert cli.main(["verify", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+        "born-sampling-statistics",
+        "tag-subspace-action",
+        "exact-cloning",
+        "identification-point-mass",
+        "measurement-nondisturbance",
+        "no-cloning-curve",
+        "clone-fidelity-vs-ucm",
+    ]
+    assert lines[-1] == "12/19 checks passed"
 
 
 def test_genuine_circuits_restore_the_checks():
