@@ -15,8 +15,10 @@ qubits first.  Every caller array passes one intake check,
 _frozen_complex_array(), for its shape and finite entries.
 
 A state's invariants are checked where a public function returns it, not on
-intermediate values: apply_circuit() runs every gate on the bare axis view and
-validates the final state once, and apply_gate() is a one-gate circuit.
+intermediate values: apply_circuit() runs its gates on bare axis views, each
+writing into one of two buffers reused by turns (never its own input) with a
+third as scratch, and validates the final state once; apply_gate() is a
+one-gate circuit.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
@@ -276,17 +278,19 @@ def _grouped(values: np.ndarray, num_qubits: int, first: Sequence[int]) -> np.nd
     return np.transpose(_axes(values, num_qubits), [*first, *rest]).reshape(2 ** len(first), -1)
 
 
-def _gate_kernel(view: np.ndarray, gate: Gate) -> np.ndarray:
-    """One gate on a (2,)*n axis view, returning a new view; nothing is validated."""
+def _gate_kernel(view: np.ndarray, gate: Gate, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """One gate from a (2,)*n axis view into ``out``, with ``spare`` as scratch; no validation."""
     t, c = gate.target, gate.control
     if c is None:
         # Matrix column j, laid along the target axis, scales the target=j half.
         column = (1,) * t + (2,) + (1,) * (view.ndim - 1 - t)
         m0, m1 = gate.matrix[:, 0].reshape(column), gate.matrix[:, 1].reshape(column)
-        return m0 * _slot(view, t, 0) + m1 * _slot(view, t, 1)
+        np.multiply(m0, _slot(view, t, 0), out=out)
+        np.multiply(m1, _slot(view, t, 1), out=spare)
+        return np.add(out, spare, out=out)
     # Keep the control=0 half; swap the target halves of the control=1 half.
     reverse_target = (slice(None),) * t + (slice(None, None, -1),)
-    return np.concatenate((_slot(view, c, 0), _slot(view, c, 1)[reverse_target]), axis=c)
+    return np.concatenate((_slot(view, c, 0), _slot(view, c, 1)[reverse_target]), axis=c, out=out)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -295,13 +299,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the circuit's gates in listed order, validating only the final state."""
+    """Apply the gates in listed order through two reused buffers, validating only the result."""
     n = state.num_qubits
     if circuit.num_qubits != n:
         raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {n}")
     view = _axes(state.amplitudes, n)
+    out, other, spare = np.empty_like(view), np.empty_like(view), np.empty_like(view)
     for gate in circuit.gates:
-        view = _gate_kernel(view, gate)
+        view = _gate_kernel(view, gate, out, spare)
+        out, other = other, out
     return StateVector(n, view.reshape(-1))
 
 

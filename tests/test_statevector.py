@@ -1,4 +1,6 @@
+import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -229,6 +231,52 @@ class TestApplyCircuit:
         fast = apply_circuit(state, circuit).amplitudes
         dense = circuit_unitary(circuit) @ state.amplitudes
         assert_allclose(fast, dense, atol=1e-10)
+
+    def test_kernel_bytes_are_pinned(self):
+        # sha256 of the amplitudes, recorded while every gate still allocated
+        # fresh temporaries instead of writing into reused buffers.  Per qubit
+        # count 1..7: the empty circuit, one gate, and 2, 7 and 12 gates.
+        rng = np.random.default_rng(15)
+        digest, kinds = hashlib.sha256(), set()
+        for n in range(1, 8):
+            for depth in (0, 1, 2, 7, 12):
+                state, circuit = random_state(n, rng), random_circuit(n, depth, rng)
+                kinds |= {gate.kind for gate in circuit.gates}
+                digest.update(apply_circuit(state, circuit).amplitudes.tobytes())
+        assert kinds == {"hadamard", "pauli_x", "pauli_z", "cnot", "single_qubit"}
+        assert digest.hexdigest() == (
+            "12f882eec9f83eb134f8a3296dd904a5381f9bc7c2e2c71826df560142f0a487"
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_chained_gates_byte_for_byte(self, seed, depth):
+        # Odd and even gate counts end in different buffers of the same call.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        circuit = random_circuit(n, depth, rng)
+        state = random_state(n, rng)
+        chained = reduce(apply_gate, circuit.gates, state)
+        assert apply_circuit(state, circuit).amplitudes.tobytes() == chained.amplitudes.tobytes()
+
+    def test_buffers_do_not_leak_between_calls(self):
+        rng = np.random.default_rng(7)
+        states = [random_state(3, rng) for _ in range(3)]
+        before = [state.amplitudes.tobytes() for state in states]
+        circuits = [random_circuit(3, depth, rng) for depth in (4, 5, 6)]
+        results = [apply_circuit(s, c) for s, c in zip(states, circuits)]
+        kept = [r.amplitudes.tobytes() for r in results]
+        for _ in range(3):
+            for state, circuit in zip(states[::-1], circuits):
+                apply_circuit(state, circuit)
+        assert [state.amplitudes.tobytes() for state in states] == before
+        assert [r.amplitudes.tobytes() for r in results] == kept
+        for state, result in zip(states, results):
+            assert not result.amplitudes.flags.writeable
+            assert not np.shares_memory(result.amplitudes, state.amplitudes)
+        unchanged = apply_circuit(states[0], Circuit(3))
+        assert unchanged.amplitudes.tobytes() == before[0]
+        assert not np.shares_memory(unchanged.amplitudes, states[0].amplitudes)
 
 
 class TestTensorAndOverlaps:

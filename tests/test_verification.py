@@ -19,6 +19,7 @@ from bellclone import (
     cnot,
     measure,
     pauli_z,
+    statevector,
     tag_circuit,
     tensor,
     verification,
@@ -33,6 +34,7 @@ from bellclone.verification import (
     check_decode_encode_identity,
     check_encode_columns,
     check_exact_cloning,
+    check_gate_norm_preservation,
     check_identification_point_mass,
     check_no_cloning_curve,
     check_nondisturbance,
@@ -136,6 +138,23 @@ def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
         "clone-fidelity-vs-ucm",
     ]
     assert lines[-1] == "12/19 checks passed"
+
+
+def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
+    # A result off by 1e-9 fails StateVector's own norm check inside apply_gate;
+    # the check reports that as a failure instead of raising.
+    kernel = statevector._gate_kernel
+
+    def scaled(view, gate, out, spare):
+        result = kernel(view, gate, out, spare)
+        result *= 1 + 1e-9
+        return result
+
+    monkeypatch.setattr(statevector, "_gate_kernel", scaled)
+    result = check_gate_norm_preservation(0)
+    assert not result.passed
+    assert result.deviation >= 1.0
+    assert result.detail.startswith("state is not normalized")
 
 
 def test_genuine_circuits_restore_the_checks():
