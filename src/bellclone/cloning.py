@@ -5,6 +5,8 @@ and two ancillas on (2, 3) prepared in |00>.  When the pair is a Bell basis
 element of index i, the transform writes bin(i) onto the ancillas and returns
 the pair unchanged.  Measuring the ancillas therefore identifies the pair
 without disturbing it, and re-encoding the ancillas produces a second copy.
+identify() is two steps: _tag() runs the transform, then _readouts() draws the
+ancilla outcome per uniform variate and keeps that outcome's pair row.
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
 superposition of Bell states the transform entangles pair and ancillas and the
@@ -19,7 +21,9 @@ import numpy as np
 
 from .bell import bell_decode_circuit, bell_encode_circuit, bell_index_of
 from .statevector import (
+    _draw,
     _grouped,
+    _outcome_marginal,
     Circuit,
     DensityMatrix,
     StateVector,
@@ -28,7 +32,6 @@ from .statevector import (
     cnot,
     fidelity_mixed,
     hadamard,
-    measure,
     partial_trace,
     tensor,
 )
@@ -97,27 +100,35 @@ def clone_circuit() -> Circuit:
     return _CLONE
 
 
-def identify(pair: StateVector, seed: int) -> IdentificationResult:
-    """Identify a Bell pair by tagging ancillas and measuring them.
+def _tag(pair: StateVector) -> StateVector:
+    """The pair on (0, 1) with fresh |00> ancillas on (2, 3), after tag_circuit."""
+    if pair.num_qubits != 2:
+        raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
+    return apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
 
-    The pair goes in on qubits (0, 1) with fresh |00> ancillas on (2, 3).
+
+def _readouts(joint: StateVector, variates: list[float]) -> list[IdentificationResult]:
+    """identify's readout of a tagged state: per uniform variate, a Born draw and its pair row."""
+    marginal = _outcome_marginal(joint, _ANCILLA_QUBITS)
+    rows = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)
+    return [
+        IdentificationResult(
+            i, f"{i:02b}", float(marginal[i]), StateVector(2, rows[i] / np.linalg.norm(rows[i]))
+        )
+        for i in _draw(marginal, variates).tolist()
+    ]
+
+
+def identify(pair: StateVector, seed: int) -> IdentificationResult:
+    """Identify a Bell pair by tagging ancillas and reading them out.
+
+    The pair goes in on qubits (0, 1) with fresh |00> ancillas on (2, 3); the
+    readout's one variate is ``default_rng(seed).random()``, as in measure().
     For Bell basis input the outcome is deterministic (probability 1) and the
     residual pair equals the input; the seed only matters on superpositions,
     where the Born rule genuinely has something to sample.
     """
-    if pair.num_qubits != 2:
-        raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
-    joint = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
-    record = measure(joint, _ANCILLA_QUBITS, seed)
-    index = int(record.outcome, 2)
-    # The measured ancillas leave the pair in their outcome's row, renormalized.
-    residual = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)[index]
-    return IdentificationResult(
-        index=index,
-        outcome_bits=record.outcome,
-        probability=record.probability,
-        residual_state=StateVector(2, residual / np.linalg.norm(residual)),
-    )
+    return _readouts(_tag(pair), [np.random.default_rng(seed).random()])[0]
 
 
 def clone(pair: StateVector) -> CloneReport:

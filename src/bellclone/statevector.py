@@ -24,12 +24,13 @@ measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
 variates and knows nothing of seeds; each caller supplies its own.  measure()
-passes default_rng(seed).random(), so numpy accepts or rejects every seed.
-verify's Born check passes the variates of all its shots from
-_seeded_random.random_for_seeds(), one vector pass equal to default_rng bit
-for bit.  A record builds the post-measurement state on first read, so callers
-that only need the outcome never pay for it.  tensor() and circuit_unitary()
-form the same products as np.kron, through _kron().
+and identify()'s readout pass default_rng(seed).random(), so numpy accepts or
+rejects every seed; verify's nondisturbance check passes its 100 seeds' variates
+to that readout at once.  verify's Born check passes the variates of all its
+shots from _seeded_random.random_for_seeds(), one vector pass equal to
+default_rng bit for bit.  A record builds the post-measurement state on first
+read, so callers that only need the outcome never pay for it.  tensor() and
+circuit_unitary() form the same products as np.kron, through _kron().
 """
 
 from __future__ import annotations

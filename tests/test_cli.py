@@ -63,9 +63,10 @@ class TestDemo:
 
     def test_hidden_index_drawn_from_seed(self):
         for seed in range(8):
-            proc = run_cli("demo", "--seed", str(seed), "--format", "json")
-            assert proc.returncode == 0
-            report = json.loads(proc.stdout)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["demo", "--seed", str(seed), "--format", "json"]) == 0
+            report = json.loads(out.getvalue())
             expected = int(np.random.default_rng(seed).integers(0, 4))
             assert report["hidden_index"] == expected
             assert report["identified_index"] == expected

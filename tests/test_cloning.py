@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellclone import (
@@ -18,10 +20,13 @@ from bellclone import (
     clone,
     clone_circuit,
     identify,
+    measure,
     origin_bits,
     tag_circuit,
     tensor,
 )
+from bellclone.cloning import _ANCILLAS
+from bellclone.statevector import _grouped
 
 from oracles import BELL_AMPLITUDES, overlap_fidelity, reduced_density
 
@@ -148,6 +153,31 @@ class TestIdentify:
     def test_rejects_wrong_qubit_count(self):
         with pytest.raises(ValueError):
             identify(basis_state("000"), seed=0)
+
+    @given(
+        amplitudes=st.lists(
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+            min_size=4,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reads_out_what_measure_draws_on_the_tagged_state(self, amplitudes, seed):
+        amps = np.array(amplitudes, dtype=complex)
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        pair = StateVector(2, amps / norm)
+        joint = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
+        record = measure(joint, (2, 3), seed)
+        result = identify(pair, seed)
+        assert (result.index, result.outcome_bits, result.probability) == (
+            int(record.outcome, 2),
+            record.outcome,
+            record.probability,
+        )
+        row = _grouped(joint.amplitudes, 4, (2, 3))[result.index]
+        assert np.array_equal(result.residual_state.amplitudes, row / np.linalg.norm(row))
 
 
 class TestClone:

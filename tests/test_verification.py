@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from bellclone import (
     Circuit,
+    DensityMatrix,
     StateVector,
     apply_circuit,
     basis_state,
@@ -18,6 +20,8 @@ from bellclone import (
     cloning,
     cnot,
     measure,
+    partial_trace,
+    pauli_x,
     pauli_z,
     statevector,
     tag_circuit,
@@ -25,22 +29,31 @@ from bellclone import (
     verification,
 )
 from bellclone._seeded_random import random_for_seeds
-from bellclone.statevector import _draw, _outcome_marginal
+from bellclone.statevector import _draw, _grouped, _outcome_marginal
 from bellclone.verification import (
     CheckResult,
+    check_bell_orthonormality,
     check_bell_roundtrip,
+    check_born_normalization,
     check_born_statistics,
+    check_circuit_linearity,
     check_clone_fidelity_vs_ucm,
     check_decode_encode_identity,
     check_encode_columns,
     check_exact_cloning,
+    check_fidelity_conventions,
     check_gate_norm_preservation,
     check_identification_point_mass,
+    check_kernel_against_dense,
     check_no_cloning_curve,
     check_nondisturbance,
+    check_partial_trace_product,
     check_tag_subspace_action,
+    check_transform_unitarity,
     run_all_checks,
 )
+
+import test_cloning
 
 
 def test_fresh_build_passes_every_check():
@@ -96,32 +109,135 @@ def _patch(monkeypatch, mutant) -> None:
         monkeypatch.setattr(module, name, builder)
 
 
+# Engine mutants: each makes one small change to a genuine function or table.
+_KERNEL, _DENSE = statevector._gate_kernel, statevector._dense_gate
+_MARGINAL, _READOUTS = statevector._outcome_marginal, cloning._readouts
+
+
+def _scaling_kernel(view, gate, out, spare):
+    result = _KERNEL(view, gate, out, spare)
+    result *= 1 + 1e-9
+    return result
+
+
+def _abs_kernel(view, gate, out, spare):
+    result = _KERNEL(view, gate, out, spare)
+    return np.abs(result, out=result)
+
+
+def _zeroed_last_outcome(state, qubits):
+    marginal = _MARGINAL(state, qubits)
+    marginal[-1] = 0.0
+    return marginal
+
+
+def _wrong_row_readouts(joint, variates):
+    # Each residual comes from the row of outcome index ^ 1.  On a Bell input
+    # that row is zero, and 0/0 stays a NaN, as outside this test suite.
+    rows = _grouped(joint.amplitudes, 4, (2, 3))
+    with np.errstate(invalid="ignore"):
+        wrong = [row / np.linalg.norm(row) for row in rows[[k ^ 1 for k in range(4)]]]
+    results = _READOUTS(joint, variates)
+    return [replace(r, residual_state=StateVector(2, wrong[r.index])) for r in results]
+
+
+_SCALING_KERNEL = (statevector, {"_gate_kernel": _scaling_kernel})
+_ABS_KERNEL = (statevector, {"_gate_kernel": _abs_kernel})
+_SCALED_DENSE = (statevector, {"_dense_gate": lambda gate, n: _DENSE(gate, n) * (1 + 1e-6)})
+_UNCONTROLLED_DENSE = (
+    statevector,
+    {"_dense_gate": lambda g, n: _DENSE(g if g.control is None else pauli_x(g.target), n)},
+)
+_ZEROED_OUTCOME = (statevector, {"_outcome_marginal": _zeroed_last_outcome})
+# verification imports these two by name, so its own bindings are the ones patched.
+_TRANSPOSED_TRACE = (
+    verification,
+    {"partial_trace": lambda s, keep: DensityMatrix(len(keep), partial_trace(s, keep).matrix.T)},
+)
+_UNCONJUGATED_FIDELITY = (
+    verification,
+    {"fidelity_mixed": lambda rho, psi: float((psi.amplitudes @ rho.matrix @ psi.amplitudes).real)},
+)
+_DUPLICATED_BELL = (bell, {"_BELL_STATES": {**bell._BELL_STATES, 3: bell._BELL_STATES[1]}})
+_WRONG_ROW = (cloning, {"_readouts": _wrong_row_readouts})
+
+
+def check_kernel_dense_agreement(seed):
+    return check_kernel_against_dense(seed)[0]
+
+
+def check_dense_unitarity(seed):
+    return check_kernel_against_dense(seed)[1]
+
+
+def _run(check) -> CheckResult:
+    """A check's result, at seed 0 for the checks that take a seed."""
+    return check(0) if inspect.signature(check).parameters else check()
+
+
+# (label, mutant, the checks it fails, the least deviation each must report)
 _CASES = [
-    ("swapped", _SWAPPED, _PROTOCOL_CHECKS),
-    ("no-fanout", _NO_FANOUT, [check_born_statistics, *_PROTOCOL_CHECKS]),
+    ("swapped", _SWAPPED, _PROTOCOL_CHECKS, 0.1),
+    ("no-fanout", _NO_FANOUT, [check_born_statistics, *_PROTOCOL_CHECKS], 0.1),
     (
         "phased-encoder",
         _PHASED_ENCODER,
         [check_encode_columns, check_decode_encode_identity, check_bell_roundtrip],
+        0.1,
     ),
+    ("scaling-kernel", _SCALING_KERNEL, [check_gate_norm_preservation], 0.1),
+    ("abs-kernel", _ABS_KERNEL, [check_circuit_linearity, check_kernel_dense_agreement], 0.1),
+    # Scaled by 1 + 1e-6 per gate, so the deviations are small but far above 1e-10.
+    ("scaled-dense", _SCALED_DENSE, [check_dense_unitarity, check_transform_unitarity], 1e-5),
+    ("uncontrolled-dense", _UNCONTROLLED_DENSE, [check_kernel_dense_agreement], 0.1),
+    ("zeroed-outcome", _ZEROED_OUTCOME, [check_born_normalization], 0.1),
+    ("transposed-trace", _TRANSPOSED_TRACE, [check_partial_trace_product], 0.1),
+    ("unconjugated-fidelity", _UNCONJUGATED_FIDELITY, [check_fidelity_conventions], 0.1),
+    ("duplicated-bell", _DUPLICATED_BELL, [check_bell_orthonormality], 0.1),
+    ("wrong-row-readout", _WRONG_ROW, [check_nondisturbance], 0.1),
 ]
 
 
 @pytest.mark.parametrize(
-    "mutant, check",
+    "mutant, check, floor",
     [
-        pytest.param(mutant, check, id=f"{label}-{check.__name__.removeprefix('check_')}")
-        for label, mutant, checks in _CASES
+        pytest.param(mutant, check, floor, id=f"{label}-{check.__name__.removeprefix('check_')}")
+        for label, mutant, checks, floor in _CASES
         for check in checks
     ],
 )
-def test_home_module_mutant_fails(mutant, check, monkeypatch):
-    # The checks look every builder up in its home module, so patching that
-    # module alone reaches them, through identify and clone too.
+def test_home_module_mutant_fails(mutant, check, floor, monkeypatch):
+    # The checks look every builder and engine function up where the mutant
+    # patches it, so the patch reaches them, through identify and clone too.
     _patch(monkeypatch, mutant)
-    result = check()
+    result = _run(check)
     assert not result.passed
-    assert result.deviation > 0.1
+    assert result.deviation > floor
+
+
+def test_every_check_has_a_failing_mutant():
+    checks = {check for _, _, listed, _ in _CASES for check in listed}
+    assert {_run(check).name for check in checks} == {r.name for r in run_all_checks(0)}
+
+
+def test_wrong_row_readout_fails_identify_too(monkeypatch):
+    _patch(monkeypatch, _WRONG_ROW)
+    with pytest.raises(ValueError, match="finite"):
+        test_cloning.TestIdentify().test_residual_survives_any_seed()
+
+
+def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
+    # One tag per Bell state, then identify's readout for each of the 100 seeds.
+    batches = []
+
+    def counting(joint, variates):
+        results = _READOUTS(joint, variates)
+        batches.append(len(results))
+        return results
+
+    monkeypatch.setattr(cloning, "_readouts", counting)
+    assert check_nondisturbance().passed
+    assert batches == [100] * 4
 
 
 def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
@@ -143,14 +259,7 @@ def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
 def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
     # A result off by 1e-9 fails StateVector's own norm check inside apply_gate;
     # the check reports that as a failure instead of raising.
-    kernel = statevector._gate_kernel
-
-    def scaled(view, gate, out, spare):
-        result = kernel(view, gate, out, spare)
-        result *= 1 + 1e-9
-        return result
-
-    monkeypatch.setattr(statevector, "_gate_kernel", scaled)
+    _patch(monkeypatch, _SCALING_KERNEL)
     result = check_gate_norm_preservation(0)
     assert not result.passed
     assert result.deviation >= 1.0
