@@ -102,7 +102,11 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all_checks(args.seed)
+    try:
+        results = run_all_checks(args.seed)
+    except ValueError as exc:  # a check that has no FAIL path for a rejected state
+        print(f"verify: {exc}", file=sys.stderr)
+        return 1
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         line = (

@@ -27,10 +27,10 @@ variates and knows nothing of seeds; each caller supplies its own.  measure()
 and identify()'s readout pass default_rng(seed).random(), so numpy accepts or
 rejects every seed; verify's nondisturbance check passes its 100 seeds' variates
 to that readout at once.  verify's Born check passes the variates of all its
-shots from _seeded_random.random_for_seeds(), one vector pass equal to
-default_rng bit for bit.  A record builds the post-measurement state on first
-read, so callers that only need the outcome never pay for it.  tensor() and
-circuit_unitary() form the same products as np.kron, through _kron().
+10,000 shots from one call, default_rng((seed, 7)).random(10_000), with seed
+the one verify --seed gives.  A record builds the post-measurement state on
+first read, so callers that only need the outcome never pay for it.  tensor()
+and circuit_unitary() form the same products as np.kron, through _kron().
 """
 
 from __future__ import annotations

@@ -27,6 +27,17 @@ def run_cli(*args):
     )
 
 
+def run_in_process(*args):
+    """cli.main in this interpreter, its streams captured, shaped like run_cli's result."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
 def write_state(tmp_path, amps, num_qubits=2, name="state.txt"):
     lines = [f"qubits {num_qubits}"]
     lines += [f"{float(a.real)!r} {float(a.imag)!r}" for a in np.asarray(amps, dtype=complex)]
@@ -63,10 +74,9 @@ class TestDemo:
 
     def test_hidden_index_drawn_from_seed(self):
         for seed in range(8):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert cli.main(["demo", "--seed", str(seed), "--format", "json"]) == 0
-            report = json.loads(out.getvalue())
+            proc = run_in_process("demo", "--seed", str(seed), "--format", "json")
+            assert proc.returncode == 0
+            report = json.loads(proc.stdout)
             expected = int(np.random.default_rng(seed).integers(0, 4))
             assert report["hidden_index"] == expected
             assert report["identified_index"] == expected
@@ -179,11 +189,10 @@ class TestClone:
     def test_long_over_limit_qubit_count_is_cut(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nines.txt").write_text("qubits " + "9" * 4000 + "\n0 0\n")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert cli.main(["clone", "--state", "nines.txt"]) == 2
-        assert err.getvalue().startswith("error: nines.txt:1: qubit count 9999")
-        assert len(err.getvalue().encode()) < 200
+        proc = run_in_process("clone", "--state", "nines.txt")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: nines.txt:1: qubit count 9999")
+        assert len(proc.stderr.encode()) < 200
 
     def test_non_utf8_file_exits_2(self, tmp_path):
         path = tmp_path / "binary.txt"
@@ -222,7 +231,7 @@ class TestClone:
 
 class TestVerify:
     def test_exits_zero_with_all_checks_listed(self):
-        proc = run_cli("verify")
+        proc = run_in_process("verify")
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
         check_lines = [line for line in lines if line.startswith(("PASS", "FAIL"))]
@@ -240,19 +249,20 @@ class TestVerify:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            ("0", "789530bad85ac1ef10224b5254e7051cb88bdde5c628c854864ae26aa78cb858"),
-            ("1", "22bccb7a6c597034c62e22a283d4f27711842bb04833cbef6e9bde61e4acfdb1"),
-            ("2", "73344c60f7daa462b6acc6ebffa414bbf78d8374799b41c9163df6e6c66f5bec"),
-            ("3", "1f480b53c566ea4d0bbaee7fae44153619bd1031580a5013678d5281547b1475"),
+            ("0", "ef98282f6a7788be40f53c4df6657bed4175440d71efc479b8060839a82b0e64"),
+            ("1", "94b7e9fad6366b4ef4128b38cfe202ca8306f26f5c9191e5a47827bab2b31f8c"),
+            ("2", "f7ebfcfa70fd5ff3aa383b922c86f0b6a051e301ea75a793b5a3bf200fdc59bd"),
+            ("3", "868e66524c6b6b91915a6c395faef90fbaad57429967c446062286dfece711a0"),
         ],
+        ids=["0", "1", "2", "3"],
     )
     def test_seeded_report_is_pinned(self, seed, digest):
-        # sha256 of the whole report, recorded while every Born shot still
-        # built its own default_rng; any moved count, deviation or detail fails.
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["verify", "--seed", seed]) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        # sha256 of the whole report, recorded when the Born check's shots
+        # moved to default_rng((seed, 7)); any moved count, deviation or
+        # detail fails.
+        proc = run_in_process("verify", "--seed", seed)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 # sha256 of stdout, recorded before the engine's projections all went through
@@ -283,11 +293,9 @@ def test_report_bytes_are_pinned(tmp_path, command, digest):
             tmp_path, (BELL_AMPLITUDES[0] + BELL_AMPLITUDES[1]) / math.sqrt(2), name="sup.txt"
         ),
     }
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([files.get(token, token) for token in command.split()])
-    assert (code, err.getvalue()) == (0, "")
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    proc = run_in_process(*[files.get(token, token) for token in command.split()])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 class TestMatrix:
@@ -300,7 +308,7 @@ class TestMatrix:
         return np.array(rows)
 
     def test_encode_columns_are_bell_states(self):
-        proc = run_cli("matrix", "encode")
+        proc = run_in_process("matrix", "encode")
         assert proc.returncode == 0
         unitary = self.parse(proc.stdout)
         assert unitary.shape == (4, 4)
@@ -309,12 +317,12 @@ class TestMatrix:
 
     def test_decode_times_encode_is_identity(self):
         # two dumps multiplied externally, matching how a reader would check
-        encode = self.parse(run_cli("matrix", "encode").stdout)
-        decode = self.parse(run_cli("matrix", "decode").stdout)
+        encode = self.parse(run_in_process("matrix", "encode").stdout)
+        decode = self.parse(run_in_process("matrix", "decode").stdout)
         assert_allclose(decode @ encode, np.eye(4), atol=1e-12)
 
     def test_tgp_dump_satisfies_the_subspace_constraints(self):
-        unitary = self.parse(run_cli("matrix", "tgp").stdout)
+        unitary = self.parse(run_in_process("matrix", "tgp").stdout)
         assert unitary.shape == (16, 16)
         assert_allclose(unitary.conj().T @ unitary, np.eye(16), atol=1e-10)
         ancilla = np.zeros(4)
@@ -326,7 +334,7 @@ class TestMatrix:
             assert_allclose(out, np.kron(BELL_AMPLITUDES[index], label), atol=1e-12)
 
     def test_clone_dump_doubles_bell_states(self):
-        unitary = self.parse(run_cli("matrix", "clone").stdout)
+        unitary = self.parse(run_in_process("matrix", "clone").stdout)
         ancilla = np.zeros(4)
         ancilla[0] = 1.0
         for index in range(4):
@@ -334,11 +342,11 @@ class TestMatrix:
             assert_allclose(out, np.kron(BELL_AMPLITUDES[index], BELL_AMPLITUDES[index]), atol=1e-12)
 
     def test_entries_have_17_significant_digits(self):
-        line = run_cli("matrix", "encode").stdout.splitlines()[0]
+        line = run_in_process("matrix", "encode").stdout.splitlines()[0]
         assert "0.70710678118654746" in line
 
     def test_unknown_name_exits_2(self):
-        proc = run_cli("matrix", "swap")
+        proc = run_in_process("matrix", "swap")
         assert proc.returncode == 2
 
 

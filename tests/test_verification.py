@@ -19,7 +19,6 @@ from bellclone import (
     clone_circuit,
     cloning,
     cnot,
-    measure,
     partial_trace,
     pauli_x,
     pauli_z,
@@ -28,7 +27,6 @@ from bellclone import (
     tensor,
     verification,
 )
-from bellclone._seeded_random import random_for_seeds
 from bellclone.statevector import _draw, _grouped, _outcome_marginal
 from bellclone.verification import (
     CheckResult,
@@ -266,6 +264,17 @@ def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
     assert result.detail.startswith("state is not normalized")
 
 
+def test_verify_reports_a_rejected_state_without_a_traceback(monkeypatch, capsys):
+    # kernel-vs-dense runs first and has no FAIL path for a state that
+    # StateVector rejects, so the whole run stops; verify says why and exits 1.
+    _patch(monkeypatch, _SCALING_KERNEL)
+    assert cli.main(["verify", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verify: state is not normalized")
+    assert "Traceback" not in captured.err
+
+
 def test_genuine_circuits_restore_the_checks():
     assert check_tag_subspace_action().passed
     assert check_exact_cloning().passed
@@ -276,40 +285,58 @@ def test_checkresult_is_a_value():
     assert replace(result, detail="") == CheckResult("sample", 1e-10, 0.0)
 
 
-def test_born_check_detail_is_pinned():
-    # Recorded while every shot was still a separate measure call.  Seeds
-    # 1..10,000 give the same counts as 0..9,999, so a shifted seed is left
-    # to the shot-for-shot test below.
-    result = check_born_statistics()
-    assert result.detail == "counts 00=5067 01=4933 10=0 11=0"
-    assert result.deviation == 67 / 50
+# The Born check's counts of 00 and 01 for verify --seed 0..3.
+_BORN_COUNTS = {0: (4925, 5075), 1: (4956, 5044), 2: (5019, 4981), 3: (4976, 5024)}
 
 
-def test_born_check_draws_its_shots_in_one_vector_pass(monkeypatch):
-    def no_generator(*args, **kwargs):
-        raise AssertionError("the Born check built a default_rng")
+@pytest.mark.parametrize("seed", _BORN_COUNTS)
+def test_born_check_detail_is_pinned(seed):
+    low, high = _BORN_COUNTS[seed]
+    result = check_born_statistics(seed)
+    assert result.detail == f"counts 00={low} 01={high} 10=0 11=0"
+    assert result.deviation == abs(low - 5000) / 50
 
-    batches = []
 
-    def spy(seeds):
-        batches.append(len(seeds))
-        return random_for_seeds(seeds)
+def _born_probe_marginal() -> np.ndarray:
+    """The Born check's probe: the tagged (b0+b1)/sqrt(2), ancillas measured."""
+    pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
+    probe = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
+    return _outcome_marginal(probe, [2, 3])
 
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
-    monkeypatch.setattr(verification, "random_for_seeds", spy)
-    assert check_born_statistics().detail == "counts 00=5067 01=4933 10=0 11=0"
-    assert batches == [10_000]
+
+@pytest.mark.parametrize("seed", _BORN_COUNTS)
+def test_born_check_shots_equal_numpy_choice(seed, monkeypatch):
+    # numpy's own weighted draw does not go through _draw, so a shifted
+    # stream or a changed lookup shows here.
+    drawn = []
+
+    def spy(marginal, variates):
+        drawn.append(_draw(marginal, variates))
+        return drawn[-1]
+
+    monkeypatch.setattr(verification, "_draw", spy)
+    check_born_statistics(seed)
+    marginal = _born_probe_marginal()
+    chosen = np.random.default_rng((seed, 7)).choice(4, p=marginal / marginal.sum(), size=10_000)
+    assert len(drawn) == 1
+    assert np.array_equal(drawn[0], chosen)
+
+
+def test_born_line_follows_the_verify_seed(capsys):
+    lines = []
+    for seed in ("0", "1"):
+        assert cli.main(["verify", "--seed", seed]) == 0
+        out = capsys.readouterr().out.splitlines()
+        lines.append([line for line in out if "born-sampling-statistics" in line])
+    assert len(lines[0]) == len(lines[1]) == 1
+    assert lines[0] != lines[1]
 
 
 def test_batched_draw_matches_measure_shot_for_shot():
-    # The Born check's probe: the tagged (b0+b1)/sqrt(2), ancillas measured.
-    pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
-    probe = apply_circuit(tensor(pair, basis_state("00")), tag_circuit())
-    marginal = _outcome_marginal(probe, [2, 3])
-    variates = random_for_seeds(np.arange(10_000))
-    drawn = [format(int(o), "02b") for o in _draw(marginal, variates)]
-    assert drawn == [measure(probe, (2, 3), seed=s).outcome for s in range(10_000)]
-    # numpy's own weighted draw does not go through _draw, so a shifted seed shows here.
+    # measure looks default_rng(seed).random() up in _draw; numpy's own
+    # weighted draw does not go through _draw, so a changed lookup shows here.
+    marginal = _born_probe_marginal()
+    variates = [np.random.default_rng(s).random() for s in range(10_000)]
     p = marginal / marginal.sum()
     chosen = [np.random.default_rng(s).choice(4, p=p) for s in range(10_000)]
-    assert drawn == [format(int(o), "02b") for o in chosen]
+    assert _draw(marginal, variates).tolist() == chosen
