@@ -21,11 +21,11 @@ import numpy as np
 
 from .bell import bell_decode_circuit, bell_encode_circuit, bell_index_of
 from .statevector import (
+    _built,
     _draw,
     _grouped,
     _outcome_marginal,
     Circuit,
-    DensityMatrix,
     StateVector,
     apply_circuit,
     basis_state,
@@ -113,7 +113,8 @@ def _readouts(joint: StateVector, variates: list[float]) -> list[IdentificationR
     rows = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)
     return [
         IdentificationResult(
-            i, f"{i:02b}", float(marginal[i]), StateVector(2, rows[i] / np.linalg.norm(rows[i]))
+            i, f"{i:02b}", float(marginal[i]),
+            _built(StateVector, 2, rows[i] / np.linalg.norm(rows[i])),
         )
         for i in _draw(marginal, variates).tolist()
     ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .statevector import StateVector
+from .statevector import StateVector, _built
 
 _FILE_NORM_ATOL = 1e-6
 # A normalized vector has no real or imaginary part beyond this; the
@@ -110,4 +110,4 @@ def read_state_file(path: str) -> StateVector:
         raise StateFileError(
             f"{path}: amplitudes have norm {norm:.9f}, further than {_FILE_NORM_ATOL} from 1"
         )
-    return StateVector(num_qubits, amps / norm)
+    return _built(StateVector, num_qubits, amps / norm)

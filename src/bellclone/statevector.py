@@ -12,25 +12,22 @@ as an independent cross-check of the axis-view kernels.  _grouped() is the one
 projection helper: partial_trace(), the Born marginal, a record's post_state
 and identify()'s residual pair all take the rows it makes by moving a group of
 qubits first.  Every caller array passes one intake check,
-_frozen_complex_array(), for its shape and finite entries.
-
-A state's invariants are checked where a public function returns it, not on
-intermediate values: apply_circuit() runs its gates on bare axis views, each
+_frozen_complex_array(), for its shape and finite entries, and a caller's
+StateVector or DensityMatrix passes all its checks.  A state built here from a
+fresh array takes _built(), which freezes the array uncopied and checks only a
+state vector's norm.  apply_circuit() runs its gates on bare axis views, each
 writing into one of two buffers reused by turns (never its own input) with a
-third as scratch, and validates the final state once; apply_gate() is a
-one-gate circuit.
+third as scratch, and hands the last one to _built(), as tensor(),
+partial_trace(), identify() and read_state_file() hand theirs.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
-variates and knows nothing of seeds; each caller supplies its own.  measure()
-and identify()'s readout pass default_rng(seed).random(), so numpy accepts or
-rejects every seed; verify's nondisturbance check passes its 100 seeds' variates
-to that readout at once.  verify's Born check passes the variates of all its
-10,000 shots from one call, default_rng((seed, 7)).random(10_000), with seed
-the one verify --seed gives.  A record builds the post-measurement state on
-first read, so callers that only need the outcome never pay for it.  tensor()
-and circuit_unitary() form the same products as np.kron, through _kron().
+variates and knows nothing of seeds; measure() and identify()'s readout pass it
+default_rng(seed).random().  measure() checks its qubits once and skips the
+record's own checks; a record builds its post-measurement state, fully checked,
+on first read, when a caller needs it.  tensor() and circuit_unitary() form
+the same products as np.kron, through _kron().
 """
 
 from __future__ import annotations
@@ -92,6 +89,29 @@ def _frozen_complex_array(values, shape: tuple[int, ...], what: str) -> np.ndarr
     return arr
 
 
+def _require_unit_norm(amps: np.ndarray) -> None:
+    norm = np.linalg.norm(amps)
+    if not abs(norm - 1.0) <= _NORM_ATOL:  # "not <=" rejects a NaN norm too
+        raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+
+
+def _unchecked(cls, *values):
+    """``cls(*values)`` for a frozen dataclass, skipping its ``__post_init__`` checks."""
+    made = object.__new__(cls)
+    made.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return made
+
+
+def _built(cls, num_qubits: int, values: np.ndarray):
+    """A StateVector or DensityMatrix of a fresh array: frozen uncopied, only a norm checked."""
+    if cls is StateVector:
+        _require_unit_norm(values)
+    values.setflags(write=False)
+    if values.base is not None:
+        values.base.setflags(write=False)
+    return _unchecked(cls, num_qubits, values)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of ``num_qubits`` qubits."""
@@ -102,9 +122,7 @@ class StateVector:
     def __post_init__(self):
         _require_qubit_count(self.num_qubits)
         amps = _frozen_complex_array(self.amplitudes, (2**self.num_qubits,), "amplitudes")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_ATOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        _require_unit_norm(amps)
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -300,7 +318,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the gates in listed order through two reused buffers, validating only the result."""
+    """Apply the gates in listed order through two reused buffers, checking only the final norm."""
     n = state.num_qubits
     if circuit.num_qubits != n:
         raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {n}")
@@ -309,7 +327,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     for gate in circuit.gates:
         view = _gate_kernel(view, gate, out, spare)
         out, other = other, out
-    return StateVector(n, view.reshape(-1))
+    return _built(StateVector, n, view.reshape(-1) if circuit.gates else state.amplitudes.copy())
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,7 +340,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the leftmost positions."""
-    return StateVector(a.num_qubits + b.num_qubits, _kron(a.amplitudes, b.amplitudes))
+    return _built(StateVector, a.num_qubits + b.num_qubits, _kron(a.amplitudes, b.amplitudes))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -357,7 +375,7 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     n = state.num_qubits
     keep = _checked_qubits(n, keep)
     rows = _grouped(state.amplitudes, n, keep)
-    return DensityMatrix(len(keep), rows @ rows.conj().T)
+    return _built(DensityMatrix, len(keep), rows @ rows.conj().T)
 
 
 def fidelity_mixed(rho: DensityMatrix, psi: StateVector) -> float:
@@ -400,13 +418,9 @@ def measure(state: StateVector, qubits: Sequence[int], seed: int) -> Measurement
     """
     qubits = _checked_qubits(state.num_qubits, qubits)
     marginal = _outcome_marginal(state, qubits)
-    outcome_index = int(_draw(marginal, np.random.default_rng(seed).random()))
-    return MeasurementRecord(
-        measured_qubits=tuple(qubits),
-        outcome=format(outcome_index, f"0{len(qubits)}b"),
-        probability=float(marginal[outcome_index]),
-        input_state=state,
-    )
+    index = int(_draw(marginal, np.random.default_rng(seed).random()))
+    record = (tuple(qubits), format(index, f"0{len(qubits)}b"), float(marginal[index]), state)
+    return _unchecked(MeasurementRecord, *record)  # its qubits were checked above
 
 
 def _dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:

@@ -28,13 +28,18 @@ def run_cli(*args):
 
 
 def run_in_process(*args):
-    """cli.main in this interpreter, its streams captured, shaped like run_cli's result."""
+    """cli.main in this interpreter, its streams captured, shaped like run_cli's result.
+
+    Warnings are raised as errors: in a child process they would reach stderr.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
@@ -149,20 +154,20 @@ class TestClone:
     def test_malformed_file_exits_2_with_line_number(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("qubits 2\n1 0\n0 0\n0 0\n")
-        proc = run_cli("clone", "--state", str(path))
+        proc = run_in_process("clone", "--state", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "broken.txt:1" in proc.stderr
 
     def test_wrong_qubit_count_exits_2(self, tmp_path):
         path = write_state(tmp_path, [SQRT_HALF, SQRT_HALF], num_qubits=1)
-        proc = run_cli("clone", "--state", path)
+        proc = run_in_process("clone", "--state", path)
         assert proc.returncode == 2
         assert "2-qubit" in proc.stderr
 
     def test_bad_norm_exits_2(self, tmp_path):
         path = write_state(tmp_path, [0.9, 0.0, 0.0, 0.0])
-        proc = run_cli("clone", "--state", path)
+        proc = run_in_process("clone", "--state", path)
         assert proc.returncode == 2
         assert "norm" in proc.stderr
 
@@ -170,7 +175,7 @@ class TestClone:
     def test_out_of_range_amplitude_exits_2_quietly(self, tmp_path, line):
         path = tmp_path / "bad.txt"
         path.write_text(f"qubits 2\n{line}\n0 0\n0 0\n0 0\n")
-        proc = run_cli("clone", "--state", str(path))
+        proc = run_in_process("clone", "--state", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
@@ -181,7 +186,7 @@ class TestClone:
     def test_huge_qubit_header_exits_2(self, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text("qubits 20000\n0 0\n")
-        proc = run_cli("clone", "--state", str(path))
+        proc = run_in_process("clone", "--state", str(path))
         assert proc.returncode == 2
         assert "huge.txt:1" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -197,7 +202,7 @@ class TestClone:
     def test_non_utf8_file_exits_2(self, tmp_path):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"qubits 2\n\xff\xfe 0\n")
-        proc = run_cli("clone", "--state", str(path))
+        proc = run_in_process("clone", "--state", str(path))
         assert proc.returncode == 2
         assert "binary.txt:2" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -221,11 +226,11 @@ class TestClone:
         assert proc.stderr == "error: /dev/zero: file is larger than 4194304 bytes\n"
 
     def test_missing_file_exits_2(self, tmp_path):
-        proc = run_cli("clone", "--state", str(tmp_path / "absent.txt"))
+        proc = run_in_process("clone", "--state", str(tmp_path / "absent.txt"))
         assert proc.returncode == 2
 
     def test_state_flag_is_required(self):
-        proc = run_cli("clone")
+        proc = run_in_process("clone")
         assert proc.returncode == 2
 
 

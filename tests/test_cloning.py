@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from bellclone import (
     BELL_INDICES,
+    DensityMatrix,
     StateVector,
     UCM_REFERENCE,
     apply_circuit,
@@ -25,6 +26,7 @@ from bellclone import (
     tag_circuit,
     tensor,
 )
+from bellclone import statevector
 from bellclone.cloning import _ANCILLAS
 from bellclone.statevector import _grouped
 
@@ -55,26 +57,30 @@ def test_fixed_circuits_are_built_once_and_read_only(builder):
 
 @pytest.mark.parametrize("index", BELL_INDICES)
 def test_only_returned_states_are_validated(index, monkeypatch):
-    # Intermediate values stay plain arrays: each call validates only the
-    # StateVectors it builds for its caller (tensor, circuit output, residual).
-    validated = []
-    validate = StateVector.__post_init__
+    # Intermediate values stay plain arrays: each call builds only the states it
+    # hands its caller (tensor, circuit output, residual, reduced pairs), and
+    # builds them through the private path, so no public constructor check runs.
+    built, public = [], []
+    unchecked = statevector._unchecked
 
-    def counting(self):
-        validated.append(self)
-        validate(self)
+    def counting(cls, *values):
+        built.append(cls)
+        return unchecked(cls, *values)
 
     joint_input = tensor(bell_state(index), basis_state("00"))
-    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    monkeypatch.setattr(statevector, "_unchecked", counting)
+    for cls in (StateVector, DensityMatrix):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: public.append(self))
 
     def constructions(call):
-        validated.clear()
+        built.clear()
         call()
-        return len(validated)
+        return built.count(StateVector), built.count(DensityMatrix)
 
-    assert constructions(lambda: apply_circuit(joint_input, clone_circuit())) == 1
-    assert constructions(lambda: identify(bell_state(index), seed=index)) == 3
-    assert constructions(lambda: clone(bell_state(index))) == 2
+    assert constructions(lambda: apply_circuit(joint_input, clone_circuit())) == (1, 0)
+    assert constructions(lambda: identify(bell_state(index), seed=index)) == (3, 0)
+    assert constructions(lambda: clone(bell_state(index))) == (2, 2)
+    assert public == []
 
 
 class TestTagCircuit:

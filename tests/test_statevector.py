@@ -22,15 +22,18 @@ from bellclone import (
     fidelity_mixed,
     fidelity_pure,
     hadamard,
+    identify,
     inner_product,
     measure,
     measurement_distribution,
     partial_trace,
     pauli_x,
+    read_state_file,
     single_qubit,
     tag_circuit,
     tensor,
 )
+from bellclone import statevector
 from bellclone.statevector import HADAMARD, PAULI_X, PAULI_Z, _kron
 from bellclone.verification import random_circuit, random_state
 
@@ -477,6 +480,19 @@ class TestMeasurement:
             assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-12)
             assert record.post_state is post
 
+    def test_measure_checks_its_qubits_once(self, monkeypatch):
+        calls = []
+        checked_qubits = statevector._checked_qubits
+
+        def counting(num_qubits, qubits):
+            calls.append(qubits)
+            return checked_qubits(num_qubits, qubits)
+
+        monkeypatch.setattr(statevector, "_checked_qubits", counting)
+        record = measure(bell(0), [1, 0], seed=0)
+        assert calls == [[1, 0]]
+        assert record.measured_qubits == (1, 0)
+
     def test_post_state_is_validated_when_built(self):
         # A hand-made record for an impossible outcome: the projection is zero
         # and the StateVector check rejects it on first read.
@@ -583,3 +599,51 @@ def test_random_gates_preserve_the_norm(seed):
     assert np.linalg.norm(apply_gate(state, gate).amplitudes) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+def _assert_valid_and_frozen(built):
+    """A state from the private path equals its public rebuild, and nothing can write to it."""
+    field = "amplitudes" if isinstance(built, StateVector) else "matrix"
+    values = getattr(built, field)
+    rebuilt = getattr(type(built)(built.num_qubits, values), field)
+    assert (rebuilt.shape, rebuilt.tobytes()) == (values.shape, values.tobytes())
+    assert not values.flags.writeable
+    assert values.base is None or not values.base.flags.writeable
+
+
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_private_path_sees_only_valid_values(tmp_path_factory, seed, depth):
+    # tensor, apply_circuit, partial_trace, identify's residual and
+    # read_state_file skip the public checks; every value they build must pass them.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    state = random_state(n, rng)
+    head = int(rng.integers(1, n)) if n > 1 else 0
+    outputs = [apply_circuit(state, random_circuit(n, depth, rng))]
+    if head:
+        outputs.append(tensor(random_state(head, rng), random_state(n - head, rng)))
+    keep = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+    outputs.append(partial_trace(outputs[0], keep))
+    outputs.append(identify(random_state(2, rng), seed=seed).residual_state)
+    path = tmp_path_factory.mktemp("state") / "state.txt"
+    lines = [f"{float(a.real)!r} {float(a.imag)!r}" for a in state.amplitudes]
+    path.write_text("\n".join([f"qubits {n}", *lines]) + "\n")
+    outputs.append(read_state_file(str(path)))
+    for built in outputs:
+        _assert_valid_and_frozen(built)
+
+
+def test_a_nan_from_the_kernel_is_rejected(monkeypatch):
+    # The private path keeps only the norm check, so it must catch a NaN as
+    # well: abs(nan - 1) > atol is False, and a check written that way passes it.
+    kernel = statevector._gate_kernel
+
+    def nan_kernel(view, gate, out, spare):
+        result = kernel(view, gate, out, spare)
+        result.flat[0] = np.nan
+        return result
+
+    monkeypatch.setattr(statevector, "_gate_kernel", nan_kernel)
+    with pytest.raises(ValueError, match="not normalized"):
+        apply_circuit(basis_state("00"), Circuit(2, (hadamard(0),)))
