@@ -177,7 +177,3 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     return args.handler(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,8 +5,9 @@ and two ancillas on (2, 3) prepared in |00>.  When the pair is a Bell basis
 element of index i, the transform writes bin(i) onto the ancillas and returns
 the pair unchanged.  Measuring the ancillas therefore identifies the pair
 without disturbing it, and re-encoding the ancillas produces a second copy.
-identify() is two steps: _tag() runs the transform, then _readouts() draws the
-ancilla outcome per uniform variate and keeps that outcome's pair row.
+identify() is two steps: _joint() runs the transform on the pair and ancillas,
+then _readouts() draws the ancilla outcome per uniform variate and keeps that
+outcome's pair row.  clone() runs its circuit through the same _joint().
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
 superposition of Bell states the transform entangles pair and ancillas and the
@@ -100,11 +101,11 @@ def clone_circuit() -> Circuit:
     return _CLONE
 
 
-def _tag(pair: StateVector) -> StateVector:
-    """The pair on (0, 1) with fresh |00> ancillas on (2, 3), after tag_circuit."""
+def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
+    """The pair on (0, 1) with fresh |00> ancillas on (2, 3), after ``circuit``."""
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
-    return apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
+    return apply_circuit(tensor(pair, _ANCILLAS), circuit)
 
 
 def _readouts(joint: StateVector, variates: list[float]) -> list[IdentificationResult]:
@@ -129,7 +130,7 @@ def identify(pair: StateVector, seed: int) -> IdentificationResult:
     residual pair equals the input; the seed only matters on superpositions,
     where the Born rule genuinely has something to sample.
     """
-    return _readouts(_tag(pair), [np.random.default_rng(seed).random()])[0]
+    return _readouts(_joint(pair, tag_circuit()), [np.random.default_rng(seed).random()])[0]
 
 
 def clone(pair: StateVector) -> CloneReport:
@@ -138,9 +139,7 @@ def clone(pair: StateVector) -> CloneReport:
     Reduced states are compared rather than the joint vector so the report is
     honest on superposition inputs, where the two pairs come out entangled.
     """
-    if pair.num_qubits != 2:
-        raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
-    joint = apply_circuit(tensor(pair, _ANCILLAS), clone_circuit())
+    joint = _joint(pair, clone_circuit())
     original = partial_trace(joint, (0, 1))
     copy = partial_trace(joint, _ANCILLA_QUBITS)
     index = bell_index_of(pair)

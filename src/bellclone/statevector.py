@@ -15,19 +15,20 @@ qubits first.  Every caller array passes one intake check,
 _frozen_complex_array(), for its shape and finite entries, and a caller's
 StateVector or DensityMatrix passes all its checks.  A state built here from a
 fresh array takes _built(), which freezes the array uncopied and checks only a
-state vector's norm.  apply_circuit() runs its gates on bare axis views, each
-writing into one of two buffers reused by turns (never its own input) with a
-third as scratch, and hands the last one to _built(), as tensor(),
-partial_trace(), identify() and read_state_file() hand theirs.
+state vector's norm.  _NORM_ATOL is the one tolerance: traces and Born
+probabilities are squared norms and take a bound derived from it, wide enough
+for any state the norm check accepts.  apply_circuit() runs its gates on bare
+axis views, each writing into one of two buffers reused by turns (never its own
+input) with a third as scratch, and hands the last one to _built(), as
+tensor(), partial_trace(), identify() and read_state_file() hand theirs.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
 variates and knows nothing of seeds; measure() and identify()'s readout pass it
-default_rng(seed).random().  measure() checks its qubits once and skips the
-record's own checks; a record builds its post-measurement state, fully checked,
-on first read, when a caller needs it.  tensor() and circuit_unitary() form
-the same products as np.kron, through _kron().
+default_rng(seed).random().  A record builds its post-measurement state, fully
+checked, on first read, when a caller needs it.  tensor() and circuit_unitary()
+form the same products as np.kron, through _kron().
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ for _m in (HADAMARD, PAULI_X, PAULI_Z, _EYE2, _PROJECT0, _PROJECT1):
 MAX_DENSE_QUBITS = 12
 
 _NORM_ATOL = 1e-12
-_HERMITIAN_ATOL = 1e-12
-_TRACE_ATOL = 1e-12
+# A trace or a probability of a state with |norm - 1| <= _NORM_ATOL is off 1 by up to
+# (1 + _NORM_ATOL)**2 - 1, just over 2 * _NORM_ATOL; the third covers its sum's rounding.
+_SQUARED_NORM_ATOL = 3 * _NORM_ATOL
 _EIGENVALUE_FLOOR = -1e-10
-_PROBABILITY_SLACK = 1e-12
 
 _NAMED_MATRICES = {"hadamard": HADAMARD, "pauli_x": PAULI_X, "pauli_z": PAULI_Z}
 _GATE_KINDS = (*_NAMED_MATRICES, "cnot", "single_qubit")
@@ -95,13 +96,6 @@ def _require_unit_norm(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
 
-def _unchecked(cls, *values):
-    """``cls(*values)`` for a frozen dataclass, skipping its ``__post_init__`` checks."""
-    made = object.__new__(cls)
-    made.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return made
-
-
 def _built(cls, num_qubits: int, values: np.ndarray):
     """A StateVector or DensityMatrix of a fresh array: frozen uncopied, only a norm checked."""
     if cls is StateVector:
@@ -109,7 +103,9 @@ def _built(cls, num_qubits: int, values: np.ndarray):
     values.setflags(write=False)
     if values.base is not None:
         values.base.setflags(write=False)
-    return _unchecked(cls, num_qubits, values)
+    made = object.__new__(cls)
+    made.__dict__.update(zip(cls.__dataclass_fields__, (num_qubits, values)))
+    return made
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +133,9 @@ class DensityMatrix:
         _require_qubit_count(self.num_qubits)
         dim = 2**self.num_qubits
         mat = _frozen_complex_array(self.matrix, (dim, dim), "matrix entries")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_ATOL:
+        if np.max(np.abs(mat - mat.conj().T)) > _NORM_ATOL:
             raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(mat) - 1.0) > _TRACE_ATOL:
+        if abs(np.trace(mat) - 1.0) > _SQUARED_NORM_ATOL:
             raise ValueError("matrix trace is not 1")
         if np.min(np.linalg.eigvalsh(mat)) < _EIGENVALUE_FLOOR:
             raise ValueError("matrix is not positive semidefinite")
@@ -179,7 +175,7 @@ class Gate:
             raise ValueError(f"{self.kind} takes no control qubit")
         if self.kind == "single_qubit":
             mat = _frozen_complex_array(self.matrix, (2, 2), "single_qubit matrix entries")
-            if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > 1e-12:
+            if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > _NORM_ATOL:
                 raise ValueError("single_qubit matrix is not unitary")
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} takes no matrix")
@@ -256,7 +252,7 @@ class MeasurementRecord:
             raise ValueError(f"outcome must hold only 0s and 1s, got {self.outcome!r}")
         if len(self.outcome) != len(self.measured_qubits):
             raise ValueError("outcome length must match the number of measured qubits")
-        if not -_PROBABILITY_SLACK <= self.probability <= 1.0 + _PROBABILITY_SLACK:
+        if not -_SQUARED_NORM_ATOL <= self.probability <= 1.0 + _SQUARED_NORM_ATOL:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
 
     @cached_property
@@ -419,8 +415,8 @@ def measure(state: StateVector, qubits: Sequence[int], seed: int) -> Measurement
     qubits = _checked_qubits(state.num_qubits, qubits)
     marginal = _outcome_marginal(state, qubits)
     index = int(_draw(marginal, np.random.default_rng(seed).random()))
-    record = (tuple(qubits), format(index, f"0{len(qubits)}b"), float(marginal[index]), state)
-    return _unchecked(MeasurementRecord, *record)  # its qubits were checked above
+    outcome = format(index, f"0{len(qubits)}b")
+    return MeasurementRecord(tuple(qubits), outcome, float(marginal[index]), state)
 
 
 def _dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:

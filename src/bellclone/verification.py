@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bell, cloning
 from .bell import BELL_INDICES, bell_index_of, bell_state, origin_bits
-from .cloning import _ANCILLA_QUBITS, _ANCILLAS, UCM_REFERENCE, clone
+from .cloning import _ANCILLA_QUBITS, UCM_REFERENCE, clone
 from .statevector import (
     _draw,
     _outcome_marginal,
@@ -190,7 +190,7 @@ def check_born_statistics(seed: int) -> CheckResult:
     variates drawn from default_rng((seed, 7)).
     """
     pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
-    state = apply_circuit(tensor(pair, _ANCILLAS), cloning.tag_circuit())
+    state = cloning._joint(pair, cloning.tag_circuit())
     marginal = _outcome_marginal(state, _ANCILLA_QUBITS)
     shots = _draw(marginal, np.random.default_rng((seed, 7)).random(_BORN_SHOTS))
     counts = {format(o, "02b"): int(c) for o, c in enumerate(np.bincount(shots, minlength=4))}
@@ -275,7 +275,7 @@ def check_tag_subspace_action() -> CheckResult:
     circuit = cloning.tag_circuit()
     worst = 0.0
     for i in BELL_INDICES:
-        out = apply_circuit(tensor(bell_state(i), _ANCILLAS), circuit)
+        out = cloning._joint(bell_state(i), circuit)
         expected = np.kron(bell_state(i).amplitudes, basis_state(origin_bits(i)).amplitudes)
         worst = max(worst, _max_abs(out.amplitudes - expected))
     return CheckResult("tag-subspace-action", EXACT_ATOL, worst)
@@ -286,7 +286,7 @@ def check_exact_cloning() -> CheckResult:
     circuit = cloning.clone_circuit()
     worst = 0.0
     for i in BELL_INDICES:
-        out = apply_circuit(tensor(bell_state(i), _ANCILLAS), circuit)
+        out = cloning._joint(bell_state(i), circuit)
         expected = np.kron(bell_state(i).amplitudes, bell_state(i).amplitudes)
         worst = max(worst, _max_abs(out.amplitudes - expected))
     return CheckResult("exact-cloning", EXACT_ATOL, worst)
@@ -297,7 +297,7 @@ def check_identification_point_mass() -> CheckResult:
     circuit = cloning.tag_circuit()
     worst = 0.0
     for i in BELL_INDICES:
-        tagged = apply_circuit(tensor(bell_state(i), _ANCILLAS), circuit)
+        tagged = cloning._joint(bell_state(i), circuit)
         dist = measurement_distribution(tagged, _ANCILLA_QUBITS)
         for bits, prob in dist.items():
             target = 1.0 if bits == origin_bits(i) else 0.0
@@ -312,7 +312,7 @@ def check_nondisturbance() -> CheckResult:
     for i in BELL_INDICES:
         pair = bell_state(i)
         try:
-            results = cloning._readouts(cloning._tag(pair), variates)
+            results = cloning._readouts(cloning._joint(pair, cloning.tag_circuit()), variates)
         except ValueError as error:  # a residual StateVector was rejected
             return CheckResult("measurement-nondisturbance", EXACT_ATOL, 1.0, str(error))
         for result in results:

@@ -53,7 +53,7 @@ def write_state(tmp_path, amps, num_qubits=2, name="state.txt"):
 
 class TestDemo:
     def test_seed7_bell3_json_object(self):
-        proc = run_cli("demo", "--seed", "7", "--bell", "3", "--format", "json")
+        proc = run_in_process("demo", "--seed", "7", "--bell", "3", "--format", "json")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["hidden_index"] == 3
@@ -65,14 +65,14 @@ class TestDemo:
         assert report["seed"] == 7
 
     def test_seed7_bell0_identifies_00(self):
-        proc = run_cli("demo", "--seed", "7", "--bell", "0", "--format", "json")
+        proc = run_in_process("demo", "--seed", "7", "--bell", "0", "--format", "json")
         report = json.loads(proc.stdout)
         assert report["identified_index"] == 0
         assert report["outcome_bits"] == "00"
 
     @pytest.mark.parametrize("index", [0, 1, 2, 3])
     def test_every_hidden_index_is_identified(self, index):
-        proc = run_cli("demo", "--bell", str(index), "--format", "json")
+        proc = run_in_process("demo", "--bell", str(index), "--format", "json")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["identified_index"] == index
@@ -87,7 +87,7 @@ class TestDemo:
             assert report["identified_index"] == expected
 
     def test_plain_format_is_key_equals_value(self):
-        proc = run_cli("demo", "--seed", "7", "--bell", "3")
+        proc = run_in_process("demo", "--seed", "7", "--bell", "3")
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
         keys = [line.split(" = ")[0] for line in lines]
@@ -109,13 +109,13 @@ class TestDemo:
         assert first.returncode == second.returncode
 
     def test_bell_flag_rejects_out_of_range(self):
-        proc = run_cli("demo", "--bell", "5")
+        proc = run_in_process("demo", "--bell", "5")
         assert proc.returncode == 2
 
 
 @pytest.mark.parametrize("command", ["demo", "verify"])
 def test_negative_seed_is_a_usage_error(command):
-    proc = run_cli(command, "--seed", "-1")
+    proc = run_in_process(command, "--seed", "-1")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "usage:" in proc.stderr

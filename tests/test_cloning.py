@@ -26,7 +26,7 @@ from bellclone import (
     tag_circuit,
     tensor,
 )
-from bellclone import statevector
+from bellclone import cloning, statevector
 from bellclone.cloning import _ANCILLAS
 from bellclone.statevector import _grouped
 
@@ -61,14 +61,15 @@ def test_only_returned_states_are_validated(index, monkeypatch):
     # hands its caller (tensor, circuit output, residual, reduced pairs), and
     # builds them through the private path, so no public constructor check runs.
     built, public = [], []
-    unchecked = statevector._unchecked
+    private_path = statevector._built
 
-    def counting(cls, *values):
+    def counting(cls, num_qubits, values):
         built.append(cls)
-        return unchecked(cls, *values)
+        return private_path(cls, num_qubits, values)
 
     joint_input = tensor(bell_state(index), basis_state("00"))
-    monkeypatch.setattr(statevector, "_unchecked", counting)
+    for module in (statevector, cloning):  # cloning builds identify's residual
+        monkeypatch.setattr(module, "_built", counting)
     for cls in (StateVector, DensityMatrix):
         monkeypatch.setattr(cls, "__post_init__", lambda self: public.append(self))
 

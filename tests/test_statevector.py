@@ -480,19 +480,6 @@ class TestMeasurement:
             assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-12)
             assert record.post_state is post
 
-    def test_measure_checks_its_qubits_once(self, monkeypatch):
-        calls = []
-        checked_qubits = statevector._checked_qubits
-
-        def counting(num_qubits, qubits):
-            calls.append(qubits)
-            return checked_qubits(num_qubits, qubits)
-
-        monkeypatch.setattr(statevector, "_checked_qubits", counting)
-        record = measure(bell(0), [1, 0], seed=0)
-        assert calls == [[1, 0]]
-        assert record.measured_qubits == (1, 0)
-
     def test_post_state_is_validated_when_built(self):
         # A hand-made record for an impossible outcome: the projection is zero
         # and the StateVector check rejects it on first read.
@@ -611,11 +598,23 @@ def _assert_valid_and_frozen(built):
     assert values.base is None or not values.base.flags.writeable
 
 
+def _at_norm_edge(state, side):
+    """``state`` rescaled to within ulps of the largest (side 1) or least (-1) norm accepted."""
+    target = 1.0 + side * statevector._NORM_ATOL
+    amps = state.amplitudes / np.linalg.norm(state.amplitudes)
+    while True:
+        try:
+            return StateVector(state.num_qubits, amps * target)
+        except ValueError:
+            target = np.nextafter(target, 1.0)
+
+
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 12))
 @settings(max_examples=60, deadline=None)
 def test_private_path_sees_only_valid_values(tmp_path_factory, seed, depth):
     # tensor, apply_circuit, partial_trace, identify's residual and
-    # read_state_file skip the public checks; every value they build must pass them.
+    # read_state_file skip the public checks; every value they build must pass them,
+    # and so must every record measure returns, for inputs at either edge of the norm check.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
     state = random_state(n, rng)
@@ -630,8 +629,18 @@ def test_private_path_sees_only_valid_values(tmp_path_factory, seed, depth):
     lines = [f"{float(a.real)!r} {float(a.imag)!r}" for a in state.amplitudes]
     path.write_text("\n".join([f"qubits {n}", *lines]) + "\n")
     outputs.append(read_state_file(str(path)))
+    # A basis state puts all its weight on one outcome, so its probability sits at the edge too.
+    basis = basis_state(format(int(rng.integers(2**n)), f"0{n}b"))
+    records = []
+    for edge in (_at_norm_edge(s, side) for s in (outputs[0], basis) for side in (-1, 1)):
+        # Not tensor: at this edge its product can miss the norm check by an ulp and raise.
+        outputs.append(partial_trace(edge, keep))
+        records.append(measure(edge, keep, seed=seed))
     for built in outputs:
         _assert_valid_and_frozen(built)
+    for record in records:
+        fields = (getattr(record, f) for f in MeasurementRecord.__dataclass_fields__)
+        assert MeasurementRecord(*fields).probability == record.probability
 
 
 def test_a_nan_from_the_kernel_is_rejected(monkeypatch):
