@@ -108,7 +108,7 @@ def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
     return apply_circuit(tensor(pair, _ANCILLAS), circuit)
 
 
-def _readouts(joint: StateVector, variates: list[float]) -> list[IdentificationResult]:
+def _readouts(joint: StateVector, variates: np.ndarray | list) -> list[IdentificationResult]:
     """identify's readout of a tagged state: per uniform variate, a Born draw and its pair row."""
     marginal = _outcome_marginal(joint, _ANCILLA_QUBITS)
     rows = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)

@@ -164,6 +164,48 @@ class TestCallerInputIntake:
         with pytest.raises(ValueError, match="qubit index must be an integer"):
             call(qubits)
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: StateVector(0, [1]), "num_qubits must be positive"),
+            (lambda: DensityMatrix(0, [[1]]), "num_qubits must be positive"),
+            (lambda: Circuit(0), "num_qubits must be positive"),
+            (lambda: Gate("cnot", 1), "cnot requires a control index"),
+            (lambda: Gate("hadamard", 0, control=1), "hadamard takes no control qubit"),
+            (
+                lambda: MeasurementRecord((0,), "01", 0.5, bell(0)),
+                "outcome length must match the number of measured qubits",
+            ),
+            (lambda: basis_state(""), "non-empty string of 0s and 1s"),
+            (lambda: basis_state("012"), "non-empty string of 0s and 1s"),
+            (lambda: measure(bell(0), [], seed=0), "at least one qubit index"),
+            (lambda: partial_trace(bell(0), []), "at least one qubit index"),
+            (lambda: measurement_distribution(bell(0), []), "at least one qubit index"),
+            (lambda: Circuit(2, (hadamard(-1),)), "qubit -1 does not fit a 2-qubit"),
+            (lambda: Circuit(2, (cnot(-1, 1),)), "qubit -1 does not fit a 2-qubit"),
+            (lambda: apply_gate(bell(0), hadamard(-1)), "qubit -1 does not fit a 2-qubit"),
+        ],
+        ids=[
+            "StateVector-0-qubits",
+            "DensityMatrix-0-qubits",
+            "Circuit-0-qubits",
+            "cnot-without-control",
+            "hadamard-with-control",
+            "record-outcome-length",
+            "basis-state-empty",
+            "basis-state-bad-digit",
+            "measure-no-qubits",
+            "partial_trace-no-qubits",
+            "measurement_distribution-no-qubits",
+            "negative-target",
+            "negative-control",
+            "apply_gate-negative-target",
+        ],
+    )
+    def test_rejections_name_their_rule(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_numpy_integers_are_accepted(self):
         state = StateVector(np.int64(2), bell(0).amplitudes)
         circuit = Circuit(np.int64(2), (hadamard(np.int32(0)), cnot(np.int8(0), np.uint8(1))))
@@ -536,29 +578,25 @@ class TestMeasurementDistribution:
 
 class TestCircuitUnitary:
     def test_kron_matches_numpy_byte_for_byte(self):
-        # tensor and _dense_gate use _kron in place of np.kron; every entry must
-        # be the same product, laid out the same way, on vectors and matrices.
+        # tensor forms its own product and _dense_gate uses _kron, both in place of
+        # np.kron; every entry must be the same product, laid out the same way.
         rng = np.random.default_rng(2026)
 
         def operand(shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
         for _ in range(300):
-            for shape_a, shape_b in (
-                (tuple(rng.integers(1, 9, size=1)), tuple(rng.integers(1, 9, size=1))),
-                (tuple(rng.integers(1, 9, size=2)), tuple(rng.integers(1, 9, size=2))),
-            ):
-                a, b = operand(shape_a), operand(shape_b)
-                side = int(rng.integers(1, 9))
-                eye = np.eye(side, dtype=complex)
-                projector = np.diag(rng.integers(0, 2, size=side)).astype(complex)
-                pairs = [(a, b)]
-                if a.ndim == 2:
-                    pairs += [(eye, b), (a, eye), (projector, b), (a, projector)]
-                for x, y in pairs:
-                    got, want = _kron(x, y), np.kron(x, y)
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+            u, v = (random_state(int(rng.integers(1, 4)), rng) for _ in range(2))
+            pairs = [(tensor(u, v).amplitudes, np.kron(u.amplitudes, v.amplitudes))]
+            a, b = (operand(tuple(rng.integers(1, 9, size=2))) for _ in range(2))
+            side = int(rng.integers(1, 9))
+            eye = np.eye(side, dtype=complex)
+            projector = np.diag(rng.integers(0, 2, size=side)).astype(complex)
+            for x, y in [(a, b), (eye, b), (a, eye), (projector, b), (a, projector)]:
+                pairs.append((_kron(x, y), np.kron(x, y)))
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_empty_circuit_gives_identity(self):
         assert_allclose(circuit_unitary(Circuit(2)), np.eye(4))

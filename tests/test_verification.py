@@ -129,6 +129,10 @@ def _zeroed_last_outcome(state, qubits):
     return marginal
 
 
+def _without_last_outcome(state, qubits):
+    return dict(list(statevector.measurement_distribution(state, qubits).items())[:-1])
+
+
 def _wrong_row_readouts(joint, variates):
     # Each residual comes from the row of outcome index ^ 1.  On a Bell input
     # that row is zero, and 0/0 stays a NaN, as outside this test suite.
@@ -158,6 +162,11 @@ _UNCONJUGATED_FIDELITY = (
 )
 _DUPLICATED_BELL = (bell, {"_BELL_STATES": {**bell._BELL_STATES, 3: bell._BELL_STATES[1]}})
 _WRONG_ROW = (cloning, {"_readouts": _wrong_row_readouts})
+# Each of these three reaches its floor only through its check's escalation branch.
+_DROPPED_OUTCOME = (verification, {"measurement_distribution": _without_last_outcome})
+_FLIPPED_TAG = Circuit(4, (*tag_circuit().gates, pauli_x(2)))
+_FLIPPED_ANCILLA = (cloning, {"tag_circuit": lambda: _FLIPPED_TAG})
+_PERFECT_FIDELITY = (cloning, {"fidelity_mixed": lambda rho, psi: 1.0})
 
 
 def check_kernel_dense_agreement(seed):
@@ -193,6 +202,10 @@ _CASES = [
     ("unconjugated-fidelity", _UNCONJUGATED_FIDELITY, [check_fidelity_conventions], 0.1),
     ("duplicated-bell", _DUPLICATED_BELL, [check_bell_orthonormality], 0.1),
     ("wrong-row-readout", _WRONG_ROW, [check_nondisturbance], 0.1),
+    # Without the escalation these read 0.604, 100 and 0.5.
+    ("dropped-outcome", _DROPPED_OUTCOME, [check_born_normalization], 0.99),
+    ("flipped-ancilla", _FLIPPED_ANCILLA, [check_born_statistics], 999),
+    ("perfect-fidelity", _PERFECT_FIDELITY, [check_no_cloning_curve], 0.99),
 ]
 
 
@@ -225,7 +238,7 @@ def test_wrong_row_readout_fails_identify_too(monkeypatch):
 
 
 def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
-    # One tag per Bell state, then identify's readout for each of the 100 seeds.
+    # One tag per Bell state, then identify's readout for each of the 100 variates.
     batches = []
 
     def counting(joint, variates):
@@ -234,7 +247,7 @@ def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
         return results
 
     monkeypatch.setattr(cloning, "_readouts", counting)
-    assert check_nondisturbance().passed
+    assert check_nondisturbance(0).passed
     assert batches == [100] * 4
 
 
@@ -265,7 +278,7 @@ def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
 
 
 def test_verify_reports_a_rejected_state_without_a_traceback(monkeypatch, capsys):
-    # kernel-vs-dense runs first and has no FAIL path for a state that
+    # circuit-linearity runs second and has no FAIL path for a state that
     # StateVector rejects, so the whole run stops; verify says why and exits 1.
     _patch(monkeypatch, _SCALING_KERNEL)
     assert cli.main(["verify", "--seed", "0"]) == 1
