@@ -1,9 +1,11 @@
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -49,6 +51,28 @@ def write_state(tmp_path, amps, num_qubits=2, name="state.txt"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_path(command):
+    """tests/golden/<the command's tokens, leading "-" and "@" stripped, joined by "-">.txt"""
+    return GOLDEN / ("-".join(token.lstrip("-@") for token in command.split()) + ".txt")
+
+
+def assert_matches_golden(command, stdout):
+    """stdout equals the command's golden file byte for byte; a mismatch prints a unified diff."""
+    path = golden_path(command)
+    expected = path.read_bytes()
+    if stdout.encode() != expected:
+        diff = difflib.unified_diff(
+            expected.decode().splitlines(keepends=True),
+            stdout.splitlines(keepends=True),
+            fromfile=str(path),
+            tofile="stdout",
+        )
+        pytest.fail("stdout differs from its golden file:\n" + "".join(diff), pytrace=False)
 
 
 class TestDemo:
@@ -251,47 +275,44 @@ class TestVerify:
         second = run_cli("verify", "--seed", "2")
         assert first.stdout == second.stdout
 
-    @pytest.mark.parametrize(
-        "seed, digest",
-        [
-            ("0", "ef98282f6a7788be40f53c4df6657bed4175440d71efc479b8060839a82b0e64"),
-            ("1", "94b7e9fad6366b4ef4128b38cfe202ca8306f26f5c9191e5a47827bab2b31f8c"),
-            ("2", "f7ebfcfa70fd5ff3aa383b922c86f0b6a051e301ea75a793b5a3bf200fdc59bd"),
-            ("3", "868e66524c6b6b91915a6c395faef90fbaad57429967c446062286dfece711a0"),
-        ],
-        ids=["0", "1", "2", "3"],
-    )
-    def test_seeded_report_is_pinned(self, seed, digest):
-        # sha256 of the whole report, recorded when the Born check's shots
-        # moved to default_rng((seed, 7)); any moved count, deviation or
-        # detail fails.
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_seeded_report_is_pinned(self, seed):
+        # Any moved count, deviation or detail fails.
         proc = run_in_process("verify", "--seed", seed)
         assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+        assert_matches_golden(f"verify --seed {seed}", proc.stdout)
 
 
-# sha256 of stdout, recorded before the engine's projections all went through
-# _grouped; "@bell" and "@superposition" are the files the clone tests write.
-_PINNED_STDOUT = [
-    ("demo --seed 0", "b27d23c037c6a569e686077c790cf42f81d0a662d69d37e9ecd406656d6ac58d"),
-    ("demo --seed 0 --format json", "41a399dba96fc0dc7dd7e68ff3e8fdecd678fb8062d97d420d14d5567ab34d6e"),
-    ("demo --seed 1", "91da6172d1034789710a837a37add16d09ada6088d9b15e486c19f15f930d28b"),
-    ("demo --seed 1 --format json", "1601fa79cabf2be038b8337da9a7de9f23eed685addbdf8795f475aae256f93d"),
-    ("demo --seed 5", "c05e0b276d29205b777a1b9abe33ab2df0f1e49e53b964c3b044b8eb0bbff282"),
-    ("demo --seed 5 --format json", "369574beb326b496d93052fdcb23b84e90369b6eca3994deb6f31c25529dcdbf"),
-    ("matrix encode", "039ab909566860bcb1049f1c998e237152403952c46a14f07611c54e2e98d8c6"),
-    ("matrix decode", "45f429e28a86aeb52f0929c7c292176c92a578d2b42326134119ea942beb3c1d"),
-    ("matrix tgp", "8a0d77220c48018a01fff925843c67ffae261ddb3e8ca1f2eeb14b216b73d3e6"),
-    ("matrix clone", "ef89db8cfbfaede8de995021d4dcd78fc7e6dfa7af41ae086870529afc7e2539"),
-    ("clone --state @bell", "38e0eec3af4b2256406e7d7bc5554c19b078423211e990a7faa6477da26279ea"),
-    ("clone --state @bell --format json", "9fc65d022f2bb16452ba9e1e136e06238df4a29e9cdb33b7b39c28626aa559c7"),
-    ("clone --state @superposition", "dbe9af32432b9773457fb45b8d2059ce11df58e0443b9ac956254be4cb476004"),
-    ("clone --state @superposition --format json", "f7d5ab7169229d03eac64f6e961706c8ff40bc50fb89f1a39883a3e0713c52a8"),
+# "@bell" and "@superposition" are the files the clone tests write.
+_PINNED_COMMANDS = [
+    "demo --seed 0",
+    "demo --seed 0 --format json",
+    "demo --seed 1",
+    "demo --seed 1 --format json",
+    "demo --seed 5",
+    "demo --seed 5 --format json",
+    "matrix encode",
+    "matrix decode",
+    "matrix tgp",
+    "matrix clone",
+    "clone --state @bell",
+    "clone --state @bell --format json",
+    "clone --state @superposition",
+    "clone --state @superposition --format json",
 ]
 
 
-@pytest.mark.parametrize("command, digest", _PINNED_STDOUT)
-def test_report_bytes_are_pinned(tmp_path, command, digest):
+# Each id ends in the sha256 of the command's golden file, the digest this test
+# compared before the files existed, so a rewritten file also shows as a new id.
+@pytest.mark.parametrize(
+    "command",
+    _PINNED_COMMANDS,
+    ids=[
+        f"{command}-{hashlib.sha256(golden_path(command).read_bytes()).hexdigest()}"
+        for command in _PINNED_COMMANDS
+    ],
+)
+def test_report_bytes_are_pinned(tmp_path, command):
     files = {
         "@bell": write_state(tmp_path, BELL_AMPLITUDES[1], name="bell.txt"),
         "@superposition": write_state(
@@ -300,7 +321,7 @@ def test_report_bytes_are_pinned(tmp_path, command, digest):
     }
     proc = run_in_process(*[files.get(token, token) for token in command.split()])
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    assert_matches_golden(command, proc.stdout)
 
 
 class TestMatrix:
