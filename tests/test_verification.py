@@ -1,5 +1,6 @@
 import inspect
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from bellclone import (
     partial_trace,
     pauli_x,
     pauli_z,
+    single_qubit,
     statevector,
     tag_circuit,
     tensor,
@@ -123,6 +125,19 @@ def _abs_kernel(view, gate, out, spare):
     return np.abs(result, out=result)
 
 
+def _low_control_kernel(view, gate, out, spare):
+    # Right whenever control < target; otherwise control and target trade places.
+    if gate.control is not None and gate.control > gate.target:
+        gate = cnot(gate.target, gate.control)
+    return _KERNEL(view, gate, out, spare)
+
+
+def _transposing_kernel(view, gate, out, spare):
+    if gate.kind == "single_qubit":
+        gate = single_qubit(gate.target, gate.matrix.T)
+    return _KERNEL(view, gate, out, spare)
+
+
 def _zeroed_last_outcome(state, qubits):
     marginal = _MARGINAL(state, qubits)
     marginal[-1] = 0.0
@@ -145,6 +160,8 @@ def _wrong_row_readouts(joint, variates):
 
 _SCALING_KERNEL = (statevector, {"_gate_kernel": _scaling_kernel})
 _ABS_KERNEL = (statevector, {"_gate_kernel": _abs_kernel})
+_LOW_CONTROL_KERNEL = (statevector, {"_gate_kernel": _low_control_kernel})
+_TRANSPOSING_KERNEL = (statevector, {"_gate_kernel": _transposing_kernel})
 _SCALED_DENSE = (statevector, {"_dense_gate": lambda gate, n: _DENSE(gate, n) * (1 + 1e-6)})
 _UNCONTROLLED_DENSE = (
     statevector,
@@ -169,12 +186,12 @@ _FLIPPED_ANCILLA = (cloning, {"tag_circuit": lambda: _FLIPPED_TAG})
 _PERFECT_FIDELITY = (cloning, {"fidelity_mixed": lambda rho, psi: 1.0})
 
 
-def check_kernel_dense_agreement(seed):
-    return check_kernel_against_dense(seed)[0]
+def check_kernel_dense_agreement():
+    return check_kernel_against_dense()[0]
 
 
-def check_dense_unitarity(seed):
-    return check_kernel_against_dense(seed)[1]
+def check_dense_unitarity():
+    return check_kernel_against_dense()[1]
 
 
 def _run(check) -> CheckResult:
@@ -195,8 +212,12 @@ _CASES = [
     ("scaling-kernel", _SCALING_KERNEL, [check_gate_norm_preservation], 0.1),
     ("abs-kernel", _ABS_KERNEL, [check_circuit_linearity, check_kernel_dense_agreement], 0.1),
     # Scaled by 1 + 1e-6 per gate, so the deviations are small but far above 1e-10.
+    # Only clone_circuit's 8 gates lift dense-unitarity past the floor: 1.6e-5 against
+    # 2e-6 from any one-gate circuit of the sweep.
     ("scaled-dense", _SCALED_DENSE, [check_dense_unitarity, check_transform_unitarity], 1e-5),
     ("uncontrolled-dense", _UNCONTROLLED_DENSE, [check_kernel_dense_agreement], 0.1),
+    ("low-control-kernel", _LOW_CONTROL_KERNEL, [check_kernel_dense_agreement], 0.1),
+    ("transposing-kernel", _TRANSPOSING_KERNEL, [check_kernel_dense_agreement], 0.1),
     ("zeroed-outcome", _ZEROED_OUTCOME, [check_born_normalization], 0.1),
     ("transposed-trace", _TRANSPOSED_TRACE, [check_partial_trace_product], 0.1),
     ("unconjugated-fidelity", _UNCONJUGATED_FIDELITY, [check_fidelity_conventions], 0.1),
@@ -229,6 +250,30 @@ def test_home_module_mutant_fails(mutant, check, floor, monkeypatch):
 def test_every_check_has_a_failing_mutant():
     checks = {check for _, _, listed, _ in _CASES for check in listed}
     assert {_run(check).name for check in checks} == {r.name for r in run_all_checks(0)}
+
+
+def test_sweep_covers_every_gate_and_pair_then_the_fixed_circuits():
+    *one_gate, encode, decode, tag, cloner = verification._sweep_circuits()
+    assert (encode, decode) == (bell_encode_circuit(), bell_decode_circuit())
+    assert (tag, cloner) == (tag_circuit(), clone_circuit())
+    assert all(len(circuit.gates) == 1 for circuit in one_gate)
+    gates = [(circuit.num_qubits, circuit.gates[0]) for circuit in one_gate]
+    swept = Counter((n, g.kind, g.target, g.control) for n, g in gates)
+    kinds = ("hadamard", "pauli_x", "pauli_z", "single_qubit")
+    expected = Counter((n, kind, t, None) for n in range(1, 5) for t in range(n) for kind in kinds)
+    pairs = [(c, t) for c in range(4) for t in range(4) if c != t]
+    expected.update((n, "cnot", t, c) for n in range(1, 5) for c, t in pairs if max(c, t) < n)
+    assert swept == expected
+    assert sum(expected.values()) == 60
+    matrices = [g.matrix for _, g in gates if g.kind == "single_qubit"]
+    assert all(np.array_equal(m, verification._SWEEP_MATRIX) for m in matrices)
+
+
+def test_sweep_matrix_is_changed_by_transpose_and_conjugation():
+    matrix = verification._SWEEP_MATRIX
+    for changed in (matrix.T, matrix.conj(), matrix.conj().T):
+        assert not np.allclose(changed, matrix)
+    assert len({complex(v) for v in matrix.flat}) == 4
 
 
 def test_wrong_row_readout_fails_identify_too(monkeypatch):
