@@ -325,7 +325,10 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the leftmost positions."""
     product = (a.amplitudes[:, None] * b.amplitudes[None, :]).reshape(-1)
-    return _built(StateVector, a.num_qubits + b.num_qubits, product)
+    try:
+        return _built(StateVector, a.num_qubits + b.num_qubits, product)
+    except ValueError:  # two norms within the bound can multiply past it
+        return _built(StateVector, a.num_qubits + b.num_qubits, product / np.linalg.norm(product))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -332,6 +332,15 @@ class TestTensorAndOverlaps:
         )
         assert tensor(basis_state("1"), basis_state("0")).amplitudes[2] == 1.0
 
+    def test_tensor_accepts_the_product_of_two_edge_states(self):
+        # Each factor passes the norm check, but the raw product is off by 1.8e-12.
+        edge = StateVector(1, [1 + 9e-13, 0])
+        _assert_valid_and_frozen(tensor(edge, edge))
+        # A product inside the bound keeps np.kron's bytes.
+        for index in range(4):
+            want = np.kron(bell(index).amplitudes, basis_state("00").amplitudes)
+            assert tensor(bell(index), basis_state("00")).amplitudes.tobytes() == want.tobytes()
+
     def test_tensor_puts_first_factor_leftmost(self):
         joint = tensor(bell(0), basis_state("00"))
         nonzero = np.nonzero(joint.amplitudes)[0]
@@ -671,7 +680,7 @@ def test_private_path_sees_only_valid_values(tmp_path_factory, seed, depth):
     basis = basis_state(format(int(rng.integers(2**n)), f"0{n}b"))
     records = []
     for edge in (_at_norm_edge(s, side) for s in (outputs[0], basis) for side in (-1, 1)):
-        # Not tensor: at this edge its product can miss the norm check by an ulp and raise.
+        outputs.append(tensor(edge, edge))
         outputs.append(partial_trace(edge, keep))
         records.append(measure(edge, keep, seed=seed))
     for built in outputs:
