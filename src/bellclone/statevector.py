@@ -27,8 +27,8 @@ Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
 variates and knows nothing of seeds; measure() and identify()'s readout pass it
 default_rng(seed).random().  A record builds its post-measurement state, fully
-checked, on first read, when a caller needs it.  tensor() forms its product
-directly and circuit_unitary() through _kron(), both byte-equal to np.kron.
+checked, on first read, when a caller needs it.  tensor() and _kron() lay out
+np.kron's bytes directly; tensor() rescales only a product past the norm bound.
 """
 
 from __future__ import annotations
