@@ -277,7 +277,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
     def test_seeded_report_is_pinned(self, seed):
-        # Any moved count, deviation or detail fails.
         proc = run_in_process("verify", "--seed", seed)
         assert proc.returncode == 0
         assert_matches_golden(f"verify --seed {seed}", proc.stdout)
