@@ -17,10 +17,10 @@ StateVector or DensityMatrix passes all its checks.  A state built here from a
 fresh array takes _built(), which freezes the array uncopied and checks only a
 state vector's norm.  _NORM_ATOL is the one tolerance: traces and Born
 probabilities are squared norms and take a bound derived from it, wide enough
-for any state the norm check accepts.  apply_circuit() runs its gates on bare
-axis views, each writing into one of two buffers reused by turns (never its own
-input) with a third as scratch, and hands the last one to _built(), as
-tensor(), partial_trace(), identify() and read_state_file() hand theirs.
+for any state the norm check accepts.  _evolve() is the one gate loop, on an axis
+view with a trailing batch axis; each gate writes into one of two buffers reused
+by turns, with a third as scratch.  apply_circuit() runs a batch of one and hands
+it to _built(), as tensor(), partial_trace(), identify() and read_state_file() do.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
@@ -270,11 +270,6 @@ def basis_state(bits: str) -> StateVector:
     return StateVector(len(bits), amps)
 
 
-def _axes(values: np.ndarray, num_qubits: int) -> np.ndarray:
-    """View of a length-2^n array with one axis per qubit, qubit 0 first."""
-    return values.reshape((2,) * num_qubits)
-
-
 def _slot(view: np.ndarray, qubit: int, bit: int) -> np.ndarray:
     """Sub-view of an axis view with ``qubit`` pinned to ``bit``, keeping every axis.
 
@@ -286,22 +281,27 @@ def _slot(view: np.ndarray, qubit: int, bit: int) -> np.ndarray:
 def _grouped(values: np.ndarray, num_qubits: int, first: Sequence[int]) -> np.ndarray:
     """Matrix of a length-2^n array: rows run over ``first`` (in order), columns the rest."""
     rest = [q for q in range(num_qubits) if q not in first]
-    return np.transpose(_axes(values, num_qubits), [*first, *rest]).reshape(2 ** len(first), -1)
+    return values.reshape((2,) * num_qubits).transpose(*first, *rest).reshape(2 ** len(first), -1)
 
 
-def _gate_kernel(view: np.ndarray, gate: Gate, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """One gate from a (2,)*n axis view into ``out``, with ``spare`` as scratch; no validation."""
-    t, c = gate.target, gate.control
-    if c is None:
-        # Matrix column j, laid along the target axis, scales the target=j half.
-        column = (1,) * t + (2,) + (1,) * (view.ndim - 1 - t)
-        m0, m1 = gate.matrix[:, 0].reshape(column), gate.matrix[:, 1].reshape(column)
-        np.multiply(m0, _slot(view, t, 0), out=out)
-        np.multiply(m1, _slot(view, t, 1), out=spare)
-        return np.add(out, spare, out=out)
-    # Keep the control=0 half; swap the target halves of the control=1 half.
-    reverse_target = (slice(None),) * t + (slice(None, None, -1),)
-    return np.concatenate((_slot(view, c, 0), _slot(view, c, 1)[reverse_target]), axis=c, out=out)
+def _evolve(view: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
+    """The gates on a view with one axis per qubit, then one batch axis; no validation."""
+    out, other, spare = np.empty_like(view), np.empty_like(view), np.empty_like(view)
+    for gate in gates:
+        t, c = gate.target, gate.control
+        if c is None:
+            # Matrix column j, laid along the target axis, scales the target=j half.
+            column = (1,) * t + (2,) + (1,) * (view.ndim - 1 - t)
+            m0, m1 = gate.matrix[:, 0].reshape(column), gate.matrix[:, 1].reshape(column)
+            np.multiply(m0, _slot(view, t, 0), out=out)
+            np.multiply(m1, _slot(view, t, 1), out=spare)
+            view = np.add(out, spare, out=out)
+        else:
+            # Keep the control=0 half; swap the target halves of the control=1 half.
+            flipped = _slot(view, c, 1)[(slice(None),) * t + (slice(None, None, -1),)]
+            view = np.concatenate((_slot(view, c, 0), flipped), axis=c, out=out)
+        out, other = other, out
+    return view
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -310,15 +310,11 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the gates in listed order through two reused buffers, checking only the final norm."""
+    """Apply the gates in listed order, as _evolve's batch of one, checking only the final norm."""
     n = state.num_qubits
     if circuit.num_qubits != n:
         raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {n}")
-    view = _axes(state.amplitudes, n)
-    out, other, spare = np.empty_like(view), np.empty_like(view), np.empty_like(view)
-    for gate in circuit.gates:
-        view = _gate_kernel(view, gate, out, spare)
-        out, other = other, out
+    view = _evolve(state.amplitudes.reshape((2,) * n + (1,)), circuit.gates)
     return _built(StateVector, n, view.reshape(-1) if circuit.gates else state.amplitudes.copy())
 
 

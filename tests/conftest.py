@@ -1,5 +1,4 @@
 import os
-import warnings
 from pathlib import Path
 
 import pytest
@@ -7,16 +6,6 @@ import pytest
 pytest_plugins = ["pytester"]
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-# hypothesis imports this module while it reports a failing test, and the
-# import warns that mypy_extensions.TypedDict is deprecated.  Under
-# filterwarnings = error that warning is an INTERNALERROR which ends the whole
-# session, so import it here once with only that warning ignored.
-with warnings.catch_warnings():
-    warnings.filterwarnings(
-        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
-    )
-    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(autouse=True, scope="session")

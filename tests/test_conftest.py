@@ -1,13 +1,12 @@
 from pathlib import Path
 
-_CONFTEST = Path(__file__).with_name("conftest.py")
+_PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_a_failing_hypothesis_test_leaves_the_session_running(pytester):
     # A fresh interpreter, so the inner session imports everything itself,
     # under the warnings-as-errors setting of pyproject.toml.
-    pytester.makeini("[pytest]\nfilterwarnings = error\n")
-    pytester.makeconftest(_CONFTEST.read_text())
+    pytester.makepyprojecttoml(_PYPROJECT.read_text())
     pytester.makepyfile(
         test_sample="""
         from hypothesis import given, strategies as st
@@ -20,6 +19,6 @@ def test_a_failing_hypothesis_test_leaves_the_session_running(pytester):
             pass
         """
     )
-    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider", "test_sample.py")
     result.assert_outcomes(failed=1, passed=1)
     assert "INTERNALERROR" not in result.stdout.str()

@@ -304,6 +304,23 @@ class TestApplyCircuit:
         chained = reduce(apply_gate, circuit.gates, state)
         assert apply_circuit(state, circuit).amplitudes.tobytes() == chained.amplitudes.tobytes()
 
+    @given(
+        n=st.integers(1, 5),
+        batch=st.integers(1, 5),
+        depth=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_batch_matches_single_runs_byte_for_byte(self, n, batch, depth, seed):
+        # verify's kernel sweep runs whole batches; each column must be apply_circuit's bytes.
+        rng = np.random.default_rng(seed)
+        circuit = random_circuit(n, depth, rng)
+        states = [random_state(n, rng) for _ in range(batch)]
+        stacked = np.stack([state.amplitudes for state in states], axis=-1)
+        out = statevector._evolve(stacked.reshape((2,) * n + (batch,)), circuit.gates)
+        singles = np.stack([apply_circuit(state, circuit).amplitudes for state in states])
+        assert out.reshape(2**n, batch).T.tobytes() == singles.tobytes()
+
     def test_buffers_do_not_leak_between_calls(self):
         rng = np.random.default_rng(7)
         states = [random_state(3, rng) for _ in range(3)]
@@ -693,13 +710,13 @@ def test_private_path_sees_only_valid_values(tmp_path_factory, seed, depth):
 def test_a_nan_from_the_kernel_is_rejected(monkeypatch):
     # The private path keeps only the norm check, so it must catch a NaN as
     # well: abs(nan - 1) > atol is False, and a check written that way passes it.
-    kernel = statevector._gate_kernel
+    kernel = statevector._evolve
 
-    def nan_kernel(view, gate, out, spare):
-        result = kernel(view, gate, out, spare)
+    def nan_kernel(view, gates):
+        result = kernel(view, gates)
         result.flat[0] = np.nan
         return result
 
-    monkeypatch.setattr(statevector, "_gate_kernel", nan_kernel)
+    monkeypatch.setattr(statevector, "_evolve", nan_kernel)
     with pytest.raises(ValueError, match="not normalized"):
         apply_circuit(basis_state("00"), Circuit(2, (hadamard(0),)))

@@ -110,32 +110,43 @@ def _patch(monkeypatch, mutant) -> None:
 
 
 # Engine mutants: each makes one small change to a genuine function or table.
-_KERNEL, _DENSE = statevector._gate_kernel, statevector._dense_gate
+_EVOLVE, _DENSE = statevector._evolve, statevector._dense_gate
 _MARGINAL, _READOUTS = statevector._outcome_marginal, cloning._readouts
 
 
-def _scaling_kernel(view, gate, out, spare):
-    result = _KERNEL(view, gate, out, spare)
+def _scaling_kernel(view, gates):
+    result = _EVOLVE(view, gates)
     result *= 1 + 1e-9
     return result
 
 
-def _abs_kernel(view, gate, out, spare):
-    result = _KERNEL(view, gate, out, spare)
+def _abs_kernel(view, gates):
+    result = _EVOLVE(view, gates)
     return np.abs(result, out=result)
 
 
-def _low_control_kernel(view, gate, out, spare):
+def _low_control_kernel(view, gates):
     # Right whenever control < target; otherwise control and target trade places.
-    if gate.control is not None and gate.control > gate.target:
-        gate = cnot(gate.target, gate.control)
-    return _KERNEL(view, gate, out, spare)
+    rewritten = []
+    for gate in gates:
+        if gate.control is not None and gate.control > gate.target:
+            gate = cnot(gate.target, gate.control)
+        rewritten.append(gate)
+    return _EVOLVE(view, rewritten)
 
 
-def _transposing_kernel(view, gate, out, spare):
-    if gate.kind == "single_qubit":
-        gate = single_qubit(gate.target, gate.matrix.T)
-    return _KERNEL(view, gate, out, spare)
+def _transposing_kernel(view, gates):
+    rewritten = []
+    for gate in gates:
+        if gate.kind == "single_qubit":
+            gate = single_qubit(gate.target, gate.matrix.T)
+        rewritten.append(gate)
+    return _EVOLVE(view, rewritten)
+
+
+def _first_column_kernel(view, gates):
+    # Right on a batch of one; every other column of a batch gets the first one's result.
+    return np.broadcast_to(_EVOLVE(view[..., :1], gates), view.shape)
 
 
 def _zeroed_last_outcome(state, qubits):
@@ -158,10 +169,11 @@ def _wrong_row_readouts(joint, variates):
     return [replace(r, residual_state=StateVector(2, wrong[r.index])) for r in results]
 
 
-_SCALING_KERNEL = (statevector, {"_gate_kernel": _scaling_kernel})
-_ABS_KERNEL = (statevector, {"_gate_kernel": _abs_kernel})
-_LOW_CONTROL_KERNEL = (statevector, {"_gate_kernel": _low_control_kernel})
-_TRANSPOSING_KERNEL = (statevector, {"_gate_kernel": _transposing_kernel})
+_SCALING_KERNEL = (statevector, {"_evolve": _scaling_kernel})
+_ABS_KERNEL = (statevector, {"_evolve": _abs_kernel})
+_LOW_CONTROL_KERNEL = (statevector, {"_evolve": _low_control_kernel})
+_TRANSPOSING_KERNEL = (statevector, {"_evolve": _transposing_kernel})
+_FIRST_COLUMN_KERNEL = (statevector, {"_evolve": _first_column_kernel})
 _SCALED_DENSE = (statevector, {"_dense_gate": lambda gate, n: _DENSE(gate, n) * (1 + 1e-6)})
 _UNCONTROLLED_DENSE = (
     statevector,
@@ -218,6 +230,7 @@ _CASES = [
     ("uncontrolled-dense", _UNCONTROLLED_DENSE, [check_kernel_dense_agreement], 0.1),
     ("low-control-kernel", _LOW_CONTROL_KERNEL, [check_kernel_dense_agreement], 0.1),
     ("transposing-kernel", _TRANSPOSING_KERNEL, [check_kernel_dense_agreement], 0.1),
+    ("first-column-kernel", _FIRST_COLUMN_KERNEL, [check_kernel_dense_agreement], 0.1),
     ("zeroed-outcome", _ZEROED_OUTCOME, [check_born_normalization], 0.1),
     ("transposed-trace", _TRANSPOSED_TRACE, [check_partial_trace_product], 0.1),
     ("unconjugated-fidelity", _UNCONJUGATED_FIDELITY, [check_fidelity_conventions], 0.1),
@@ -267,6 +280,25 @@ def test_sweep_covers_every_gate_and_pair_then_the_fixed_circuits():
     assert sum(expected.values()) == 60
     matrices = [g.matrix for _, g in gates if g.kind == "single_qubit"]
     assert all(np.array_equal(m, verification._SWEEP_MATRIX) for m in matrices)
+
+
+def test_the_sweep_builds_no_states(monkeypatch):
+    # Each circuit runs once on a bare batch: no basis column becomes a StateVector.
+    calls = Counter()
+    built, post_init = statevector._built, StateVector.__post_init__
+
+    def counting_built(*args):
+        calls["_built"] += 1
+        return built(*args)
+
+    def counting_post_init(self):
+        calls["__post_init__"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(statevector, "_built", counting_built)
+    monkeypatch.setattr(StateVector, "__post_init__", counting_post_init)
+    check_kernel_against_dense()
+    assert calls == Counter()
 
 
 def test_sweep_matrix_is_changed_by_transpose_and_conjugation():
