@@ -6,8 +6,9 @@ element of index i, the transform writes bin(i) onto the ancillas and returns
 the pair unchanged.  Measuring the ancillas therefore identifies the pair
 without disturbing it, and re-encoding the ancillas produces a second copy.
 identify() is two steps: _joint() runs the transform on the pair and ancillas,
-then _readouts() draws the ancilla outcome per uniform variate and keeps that
-outcome's pair row.  clone() runs its circuit through the same _joint().
+then _readouts() draws the ancilla outcome per uniform variate.  Each outcome
+drawn builds one residual pair from its row, and all its results share it.
+clone() runs its circuit through the same _joint().
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
 superposition of Bell states the transform entangles pair and ancillas and the
@@ -109,16 +110,14 @@ def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
 
 
 def _readouts(joint: StateVector, variates: np.ndarray | list) -> list[IdentificationResult]:
-    """identify's readout of a tagged state: per uniform variate, a Born draw and its pair row."""
+    """identify's readout: a Born draw per uniform variate, and one residual per outcome drawn."""
     marginal = _outcome_marginal(joint, _ANCILLA_QUBITS)
     rows = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)
-    return [
-        IdentificationResult(
-            i, f"{i:02b}", float(marginal[i]),
-            _built(StateVector, 2, rows[i] / np.linalg.norm(rows[i])),
-        )
-        for i in _draw(marginal, variates).tolist()
-    ]
+    drawn = _draw(marginal, variates).tolist()
+    residuals = {
+        i: _built(StateVector, 2, rows[i] / np.linalg.norm(rows[i])) for i in dict.fromkeys(drawn)
+    }
+    return [IdentificationResult(i, f"{i:02b}", float(marginal[i]), residuals[i]) for i in drawn]
 
 
 def identify(pair: StateVector, seed: int) -> IdentificationResult:

@@ -45,7 +45,7 @@ SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# Identity and the two control projectors, the other Kronecker factors of _dense_gate.
+# Identity (Gate's unitarity reference too) and control projectors: _dense_gate's other factors.
 _EYE2 = np.eye(2, dtype=complex)
 _PROJECT0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _PROJECT1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -84,7 +84,7 @@ def _frozen_complex_array(values, shape: tuple[int, ...], what: str) -> np.ndarr
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
@@ -133,11 +133,11 @@ class DensityMatrix:
         _require_qubit_count(self.num_qubits)
         dim = 2**self.num_qubits
         mat = _frozen_complex_array(self.matrix, (dim, dim), "matrix entries")
-        if np.max(np.abs(mat - mat.conj().T)) > _NORM_ATOL:
+        if np.abs(mat - mat.conj().T).max() > _NORM_ATOL:
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(mat) - 1.0) > _SQUARED_NORM_ATOL:
             raise ValueError("matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(mat)) < _EIGENVALUE_FLOOR:
+        if np.linalg.eigvalsh(mat).min() < _EIGENVALUE_FLOOR:
             raise ValueError("matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", mat)
 
@@ -171,7 +171,7 @@ class Gate:
             raise ValueError(f"{self.kind} takes no control qubit")
         if self.kind == "single_qubit":
             mat = _frozen_complex_array(self.matrix, (2, 2), "single_qubit matrix entries")
-            if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > _NORM_ATOL:
+            if np.abs(mat.conj().T @ mat - _EYE2).max() > _NORM_ATOL:
                 raise ValueError("single_qubit matrix is not unitary")
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} takes no matrix")

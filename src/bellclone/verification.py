@@ -65,7 +65,7 @@ class CheckResult:
 
 
 def _max_abs(values) -> float:
-    return float(np.max(np.abs(values)))
+    return float(np.abs(values).max())
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
@@ -161,10 +161,10 @@ def check_kernel_against_dense() -> tuple[CheckResult, CheckResult]:
     worst_agreement = worst_unitarity = 0.0
     for circuit in _sweep_circuits():
         n, unitary = circuit.num_qubits, circuit_unitary(circuit)
-        columns = np.eye(2**n, dtype=complex).reshape((2,) * n + (2**n,))
-        fast = statevector._evolve(columns, circuit.gates).reshape(2**n, 2**n)
-        worst_agreement = max(worst_agreement, _max_abs(fast - unitary))
-        worst_unitarity = max(worst_unitarity, _max_abs(unitary.conj().T @ unitary - np.eye(2**n)))
+        identity = np.eye(2**n, dtype=complex)
+        fast = statevector._evolve(identity.reshape((2,) * n + (2**n,)), circuit.gates)
+        worst_agreement = max(worst_agreement, _max_abs(fast.reshape(2**n, 2**n) - unitary))
+        worst_unitarity = max(worst_unitarity, _max_abs(unitary.conj().T @ unitary - identity))
     return (
         CheckResult("kernel-dense-agreement", COMPOSED_ATOL, worst_agreement),
         CheckResult("dense-unitarity", COMPOSED_ATOL, worst_unitarity),

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -378,6 +379,15 @@ class TestMatrix:
 def test_no_subcommand_is_a_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+def test_console_script_resolves_to_cli_main():
+    # The `bellclone` command an install puts on PATH runs this [project.scripts] entry.
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["bellclone"]
+    assert entry == "bellclone.cli:main"
+    assert pkgutil.resolve_name(entry) is cli.main
 
 
 _TOKENS = st.sampled_from(

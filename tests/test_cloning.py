@@ -161,6 +161,25 @@ class TestIdentify:
         with pytest.raises(ValueError):
             identify(basis_state("000"), seed=0)
 
+    def test_batch_readout_equals_single_readouts_byte_for_byte(self):
+        # Results of one outcome share a residual; each must equal a one-variate readout's.
+        amps = sum(w * BELL_AMPLITUDES[i] for i, w in enumerate((1.0, 2.0, 2.0, 3.0)))
+        pair = StateVector(2, amps / math.sqrt(18))
+        joint = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
+        variates = np.random.default_rng(5).random(200)
+        results = cloning._readouts(joint, variates)
+        assert {result.index for result in results} == set(BELL_INDICES)
+        for u, result in zip(variates, results, strict=True):
+            single = cloning._readouts(joint, [u])[0]
+            assert (result.index, result.outcome_bits, result.probability) == (
+                single.index,
+                single.outcome_bits,
+                single.probability,
+            )
+            assert result.residual_state.amplitudes.tobytes() == (
+                single.residual_state.amplitudes.tobytes()
+            )
+
     @given(
         amplitudes=st.lists(
             st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),

@@ -61,7 +61,7 @@ class TestStateVector:
         assert basis_state("10").amplitudes[2] == 1.0
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected array of shape"):
             StateVector(2, np.array([1.0, 0.0], dtype=complex))
 
     def test_rejects_unnormalized(self):
@@ -69,8 +69,9 @@ class TestStateVector:
             StateVector(1, np.array([1.0, 1.0], dtype=complex))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            StateVector(1, np.array([np.nan, 0.0], dtype=complex))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                StateVector(1, np.array([bad, 0.0], dtype=complex))
 
     def test_amplitudes_are_read_only(self):
         state = basis_state("0")
@@ -452,6 +453,15 @@ class TestDensityMatrixValidation:
     def test_rejects_negative_operator(self):
         with pytest.raises(ValueError, match="semidefinite"):
             DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.nan, 0.0], [0.0, 0.5]], [[np.inf, 0.0], [0.0, 0.5]], [[0.5, np.nan], [0.0, 0.5]]],
+        ids=["nan", "inf", "nan-and-non-hermitian"],
+    )
+    def test_rejects_non_finite_entries(self, matrix):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            DensityMatrix(1, np.array(matrix))
 
 
 class TestMeasurement:

@@ -328,6 +328,27 @@ def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
     assert batches == [100] * 4
 
 
+def test_nondisturbance_builds_one_residual_per_pair(monkeypatch):
+    # Each Bell pair draws one outcome on all 100 variates, so its results share one residual.
+    built, batches = [], []
+
+    def counting_built(*args):
+        built.append(statevector._built(*args))
+        return built[-1]
+
+    def recording(joint, variates):
+        batches.append(_READOUTS(joint, variates))
+        return batches[-1]
+
+    monkeypatch.setattr(cloning, "_built", counting_built)
+    monkeypatch.setattr(cloning, "_readouts", recording)
+    assert check_nondisturbance(0).passed
+    assert len(built) == 4
+    for residual, results in zip(built, batches, strict=True):
+        assert len(results) == 100
+        assert all(result.residual_state is residual for result in results)
+
+
 def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
     _patch(monkeypatch, _NO_FANOUT)
     assert cli.main(["verify", "--seed", "0"]) == 1
