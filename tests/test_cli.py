@@ -386,7 +386,6 @@ def test_console_script_resolves_to_cli_main():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
     entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["bellclone"]
-    assert entry == "bellclone.cli:main"
     assert pkgutil.resolve_name(entry) is cli.main
 
 

@@ -315,21 +315,8 @@ def test_wrong_row_readout_fails_identify_too(monkeypatch):
 
 
 def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
-    # One tag per Bell state, then identify's readout for each of the 100 variates.
-    batches = []
-
-    def counting(joint, variates):
-        results = _READOUTS(joint, variates)
-        batches.append(len(results))
-        return results
-
-    monkeypatch.setattr(cloning, "_readouts", counting)
-    assert check_nondisturbance(0).passed
-    assert batches == [100] * 4
-
-
-def test_nondisturbance_builds_one_residual_per_pair(monkeypatch):
-    # Each Bell pair draws one outcome on all 100 variates, so its results share one residual.
+    # One tag per Bell state, then identify's readout for each of the 100 variates.  Each
+    # pair draws one outcome on all of them, so its results share one residual.
     built, batches = [], []
 
     def counting_built(*args):
@@ -343,9 +330,9 @@ def test_nondisturbance_builds_one_residual_per_pair(monkeypatch):
     monkeypatch.setattr(cloning, "_built", counting_built)
     monkeypatch.setattr(cloning, "_readouts", recording)
     assert check_nondisturbance(0).passed
+    assert [len(results) for results in batches] == [100] * 4
     assert len(built) == 4
-    for residual, results in zip(built, batches, strict=True):
-        assert len(results) == 100
+    for residual, results in zip(built, batches):
         assert all(result.residual_state is residual for result in results)
 
 
