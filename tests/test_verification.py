@@ -221,7 +221,8 @@ _CASES = [
         [check_encode_columns, check_decode_encode_identity, check_bell_roundtrip],
         0.1,
     ),
-    ("scaling-kernel", _SCALING_KERNEL, [check_gate_norm_preservation], 0.1),
+    # Scaled by 1 + 1e-9 per gate run, so the one-gate norms read 1e-9, 1000x the tolerance.
+    ("scaling-kernel", _SCALING_KERNEL, [check_gate_norm_preservation], 5e-10),
     ("abs-kernel", _ABS_KERNEL, [check_circuit_linearity, check_kernel_dense_agreement], 0.1),
     # Scaled by 1 + 1e-6 per gate, so the deviations are small but far above 1e-10.
     # Only clone_circuit's 8 gates lift dense-unitarity past the floor: 1.6e-5 against
@@ -230,7 +231,12 @@ _CASES = [
     ("uncontrolled-dense", _UNCONTROLLED_DENSE, [check_kernel_dense_agreement], 0.1),
     ("low-control-kernel", _LOW_CONTROL_KERNEL, [check_kernel_dense_agreement], 0.1),
     ("transposing-kernel", _TRANSPOSING_KERNEL, [check_kernel_dense_agreement], 0.1),
-    ("first-column-kernel", _FIRST_COLUMN_KERNEL, [check_kernel_dense_agreement], 0.1),
+    (
+        "first-column-kernel",
+        _FIRST_COLUMN_KERNEL,
+        [check_circuit_linearity, check_kernel_dense_agreement],
+        0.1,
+    ),
     ("zeroed-outcome", _ZEROED_OUTCOME, [check_born_normalization], 0.1),
     ("transposed-trace", _TRANSPOSED_TRACE, [check_partial_trace_product], 0.1),
     ("unconjugated-fidelity", _UNCONJUGATED_FIDELITY, [check_fidelity_conventions], 0.1),
@@ -283,7 +289,8 @@ def test_sweep_covers_every_gate_and_pair_then_the_fixed_circuits():
 
 
 def test_the_sweep_builds_no_states(monkeypatch):
-    # Each circuit runs once on a bare batch: no basis column becomes a StateVector.
+    # The gate checks run _evolve on bare batches: no basis column or result becomes a
+    # StateVector, and gate-norm and linearity build only their random_state inputs.
     calls = Counter()
     built, post_init = statevector._built, StateVector.__post_init__
 
@@ -297,8 +304,12 @@ def test_the_sweep_builds_no_states(monkeypatch):
 
     monkeypatch.setattr(statevector, "_built", counting_built)
     monkeypatch.setattr(StateVector, "__post_init__", counting_post_init)
-    check_kernel_against_dense()
-    assert calls == Counter()
+    counts = []
+    for check in (check_gate_norm_preservation, check_circuit_linearity, check_kernel_against_dense):
+        calls.clear()
+        _run(check)
+        counts.append(dict(calls))
+    assert counts == [{"__post_init__": 50}, {"__post_init__": 40}, {}]
 
 
 def test_sweep_matrix_is_changed_by_transpose_and_conjugation():
@@ -353,24 +364,62 @@ def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
 
 
 def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
-    # A result off by 1e-9 fails StateVector's own norm check inside apply_gate;
-    # the check reports that as a failure instead of raising.
+    # The check reads the bare batch's norm, so it measures the 1e-9 itself.
     _patch(monkeypatch, _SCALING_KERNEL)
     result = check_gate_norm_preservation(0)
     assert not result.passed
-    assert result.deviation >= 1.0
-    assert result.detail.startswith("state is not normalized")
+    assert result.deviation == pytest.approx(1e-9, rel=1e-3)
+    assert result.detail == ""
 
 
 def test_verify_reports_a_rejected_state_without_a_traceback(monkeypatch, capsys):
-    # circuit-linearity runs second and has no FAIL path for a state that
-    # StateVector rejects, so the whole run stops; verify says why and exits 1.
+    # born-sampling-statistics is the first check to build a state from the kernel's
+    # result and has no FAIL path for a state that StateVector rejects, so the
+    # whole run stops; verify says why and exits 1.
     _patch(monkeypatch, _SCALING_KERNEL)
     assert cli.main(["verify", "--seed", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("verify: state is not normalized")
     assert "Traceback" not in captured.err
+
+
+_NAN_KERNEL = (statevector, {"_evolve": lambda view, gates: np.full_like(view, np.nan)})
+_NAN_DENSE = (statevector, {"_dense_gate": lambda g, n: np.full_like(_DENSE(g, n), np.nan)})
+_NAN_CASES = [
+    (
+        "nan-kernel",
+        _NAN_KERNEL,
+        [check_gate_norm_preservation, check_circuit_linearity, check_kernel_dense_agreement],
+    ),
+    (
+        "nan-dense",
+        _NAN_DENSE,
+        [
+            check_kernel_dense_agreement,
+            check_dense_unitarity,
+            check_transform_unitarity,
+            check_encode_columns,
+            check_decode_encode_identity,
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutant, check",
+    [
+        pytest.param(mutant, check, id=f"{label}-{check.__name__.removeprefix('check_')}")
+        for label, mutant, checks in _NAN_CASES
+        for check in checks
+    ],
+)
+def test_a_nan_reading_fails_its_check(mutant, check, monkeypatch):
+    # A max(worst, x) fold would drop the NaN and read 0.0; _max_abs keeps it.
+    _patch(monkeypatch, mutant)
+    result = _run(check)
+    assert math.isnan(result.deviation)
+    assert not result.passed
 
 
 def test_genuine_circuits_restore_the_checks():
