@@ -5,10 +5,10 @@ and two ancillas on (2, 3) prepared in |00>.  When the pair is a Bell basis
 element of index i, the transform writes bin(i) onto the ancillas and returns
 the pair unchanged.  Measuring the ancillas therefore identifies the pair
 without disturbing it, and re-encoding the ancillas produces a second copy.
-identify() is two steps: _joint() runs the transform on the pair and ancillas,
-then _readouts() draws the ancilla outcome per uniform variate.  Each outcome
-drawn builds one residual pair from its row, and all its results share it.
-clone() runs its circuit through the same _joint().
+identify() is two steps: _joint() runs the transform on the bare product of the
+pair and |00>, which keeps the pair's norm, and builds one state at the end;
+_readouts() draws the ancilla outcome per uniform variate and builds one
+residual per outcome drawn, shared by its results.  clone() also uses _joint().
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
 superposition of Bell states the transform entangles pair and ancillas and the
@@ -25,17 +25,16 @@ from .bell import bell_decode_circuit, bell_encode_circuit, bell_index_of
 from .statevector import (
     _built,
     _draw,
+    _evolve,
     _grouped,
     _outcome_marginal,
     Circuit,
     StateVector,
-    apply_circuit,
     basis_state,
     cnot,
     fidelity_mixed,
     hadamard,
     partial_trace,
-    tensor,
 )
 
 # Bužek–Hillery bound: the best 1->2 clone fidelity a universal machine
@@ -103,10 +102,12 @@ def clone_circuit() -> Circuit:
 
 
 def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
-    """The pair on (0, 1) with fresh |00> ancillas on (2, 3), after ``circuit``."""
+    """The pair on (0, 1) with |00> ancillas on (2, 3), after ``circuit``: one state built."""
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
-    return apply_circuit(tensor(pair, _ANCILLAS), circuit)
+    product = pair.amplitudes[:, None] * _ANCILLAS.amplitudes[None, :]
+    register = _evolve(product.reshape(2, 2, 2, 2, 1), circuit.gates)
+    return _built(StateVector, 4, register.reshape(-1))
 
 
 def _readouts(joint: StateVector, variates: np.ndarray | list) -> list[IdentificationResult]:

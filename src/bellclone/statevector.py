@@ -6,9 +6,9 @@ index 1 and |10> at index 2.  Gates address qubits by these positions.
 
 Everything here is a pure function over value-semantic containers: inputs are
 never mutated and stored arrays are frozen.  Gates, measurement and partial
-trace index the amplitudes through one (2,)*n view with an axis per qubit; the
+trace index the amplitudes through reshaped views with an axis per qubit; the
 only dense-matrix code path is circuit_unitary(), kept separate so it can serve
-as an independent cross-check of the axis-view kernels.  _grouped() is the one
+as an independent cross-check of the gate loop.  _grouped() is the one
 projection helper: partial_trace(), the Born marginal, a record's post_state
 and identify()'s residual pair all take the rows it makes by moving a group of
 qubits first.  Every caller array passes one intake check,
@@ -17,10 +17,10 @@ StateVector or DensityMatrix passes all its checks.  A state built here from a
 fresh array takes _built(), which freezes the array uncopied and checks only a
 state vector's norm.  _NORM_ATOL is the one tolerance: traces and Born
 probabilities are squared norms and take a bound derived from it, wide enough
-for any state the norm check accepts.  _evolve() is the one gate loop, on an axis
-view with a trailing batch axis; each gate writes into one of two buffers reused
-by turns, with a third as scratch.  apply_circuit() runs a batch of one and hands
-it to _built(), as tensor(), partial_trace(), identify() and read_state_file() do.
+for any state the norm check accepts.  _evolve() is the one gate loop, with a
+trailing batch axis, for apply_circuit(), cloning's _joint() and verify's gate
+checks; each gate reshapes C-ordered buffers to the view giving its qubits their
+own axes and writes one of two buffers reused by turns, with a third as scratch.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
@@ -270,14 +270,6 @@ def basis_state(bits: str) -> StateVector:
     return StateVector(len(bits), amps)
 
 
-def _slot(view: np.ndarray, qubit: int, bit: int) -> np.ndarray:
-    """Sub-view of an axis view with ``qubit`` pinned to ``bit``, keeping every axis.
-
-    The pin is a length-1 slice: a 0-d result would round differently in numpy's scalar path.
-    """
-    return view[(slice(None),) * qubit + (slice(bit, bit + 1),)]
-
-
 def _grouped(values: np.ndarray, num_qubits: int, first: Sequence[int]) -> np.ndarray:
     """Matrix of a length-2^n array: rows run over ``first`` (in order), columns the rest."""
     rest = [q for q in range(num_qubits) if q not in first]
@@ -285,22 +277,31 @@ def _grouped(values: np.ndarray, num_qubits: int, first: Sequence[int]) -> np.nd
 
 
 def _evolve(view: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
-    """The gates on a view with one axis per qubit, then one batch axis; no validation."""
-    out, other, spare = np.empty_like(view), np.empty_like(view), np.empty_like(view)
+    """The gates on a view with one axis per qubit, then one batch axis; no validation.
+
+    Each gate reshapes the C-ordered buffers to its own 3-D or 5-D view.  The bytes hold
+    only with the matrix column as multiply's first operand (numpy rounds c * v and v * c
+    apart) and a length-1 slice for each half it scales (a 0-d one takes the scalar path).
+    """
+    out = np.empty_like(view, order="C")  # so that every reshape of a buffer is a view
+    other, spare = np.empty_like(out), np.empty_like(out)
     for gate in gates:
         t, c = gate.target, gate.control
         if c is None:
-            # Matrix column j, laid along the target axis, scales the target=j half.
-            column = (1,) * t + (2,) + (1,) * (view.ndim - 1 - t)
-            m0, m1 = gate.matrix[:, 0].reshape(column), gate.matrix[:, 1].reshape(column)
-            np.multiply(m0, _slot(view, t, 0), out=out)
-            np.multiply(m1, _slot(view, t, 1), out=spare)
-            view = np.add(out, spare, out=out)
+            shape = (1 << t, 2, -1)
+            v, o, s = view.reshape(shape), out.reshape(shape), spare.reshape(shape)
+            np.multiply(gate.matrix[:, :1], v[:, :1], out=o)
+            np.multiply(gate.matrix[:, 1:], v[:, 1:], out=s)
+            np.add(o, s, out=o)
         else:
             # Keep the control=0 half; swap the target halves of the control=1 half.
-            flipped = _slot(view, c, 1)[(slice(None),) * t + (slice(None, None, -1),)]
-            view = np.concatenate((_slot(view, c, 0), flipped), axis=c, out=out)
-        out, other = other, out
+            shape = (1 << min(c, t), 2, 1 << (abs(c - t) - 1), 2, -1)
+            v, o = view.reshape(shape), out.reshape(shape)
+            if c < t:
+                o[:, 0], o[:, 1] = v[:, 0], v[:, 1, :, ::-1]
+            else:
+                o[:, :, :, 0], o[:, :, :, 1] = v[:, :, :, 0], v[:, ::-1, :, 1]
+        view, out, other = out, other, out
     return view
 
 

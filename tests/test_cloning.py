@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -58,8 +58,8 @@ def test_fixed_circuits_are_built_once_and_read_only(builder):
 @pytest.mark.parametrize("index", BELL_INDICES)
 def test_only_returned_states_are_validated(index, monkeypatch):
     # Intermediate values stay plain arrays: each call builds only the states it
-    # hands its caller (tensor, circuit output, residual, reduced pairs), and
-    # builds them through the private path, so no public constructor check runs.
+    # hands its caller (the evolved register, residual, reduced pairs), and builds
+    # them through the private path, so no public constructor check runs.
     built, public = [], []
     private_path = statevector._built
 
@@ -79,9 +79,33 @@ def test_only_returned_states_are_validated(index, monkeypatch):
         return built.count(StateVector), built.count(DensityMatrix)
 
     assert constructions(lambda: apply_circuit(joint_input, clone_circuit())) == (1, 0)
-    assert constructions(lambda: identify(bell_state(index), seed=index)) == (3, 0)
-    assert constructions(lambda: clone(bell_state(index))) == (2, 2)
+    assert constructions(lambda: identify(bell_state(index), seed=index)) == (2, 0)
+    assert constructions(lambda: clone(bell_state(index))) == (1, 2)
     assert public == []
+
+
+# Real and imaginary parts, with both signed zeros: pair files hold "-0.0 0.0" lines.
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@given(
+    parts=st.lists(st.tuples(_PART, _PART), min_size=4, max_size=4),
+    builder=st.sampled_from([tag_circuit, clone_circuit]),
+)
+@example(parts=[(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-1.0, 0.0)], builder=tag_circuit)
+@example(parts=[(1.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-1.0, -0.0)], builder=clone_circuit)
+@settings(max_examples=150, deadline=None)
+def test_joint_matches_the_public_route_byte_for_byte(parts, builder):
+    # _joint forms tensor's product and runs apply_circuit's gate loop on it bare.
+    amps = np.array([complex(re, im) for re, im in parts])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    pair = StateVector(2, amps / norm)
+    joint = cloning._joint(pair, builder())
+    public = apply_circuit(tensor(pair, basis_state("00")), builder())
+    assert joint.num_qubits == 4
+    assert joint.amplitudes.tobytes() == public.amplitudes.tobytes()
+    assert not joint.amplitudes.flags.writeable
 
 
 class TestTagCircuit:

@@ -35,7 +35,7 @@ from bellclone import (
 )
 from bellclone import statevector
 from bellclone.statevector import HADAMARD, PAULI_X, PAULI_Z, _kron
-from bellclone.verification import random_circuit, random_state
+from bellclone.verification import _SWEEP_MATRIX, random_circuit, random_state
 
 from oracles import BELL_AMPLITUDES, SQRT_HALF, born_distribution, reduced_density
 
@@ -321,6 +321,20 @@ class TestApplyCircuit:
         out = statevector._evolve(stacked.reshape((2,) * n + (batch,)), circuit.gates)
         singles = np.stack([apply_circuit(state, circuit).amplitudes for state in states])
         assert out.reshape(2**n, batch).T.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_every_placement_matches_the_dense_route(self, n):
+        # Each gate reshapes to its own 3-D or 5-D view: every target, the last qubit
+        # too, and every ordered (control, target) pair, control above and below.
+        rng = np.random.default_rng(n)
+        gates = [single_qubit(t, _SWEEP_MATRIX) for t in range(n)]
+        gates += [cnot(c, t) for c in range(n) for t in range(n) if c != t]
+        batch = np.stack([random_state(n, rng).amplitudes for _ in range(2)], axis=-1)
+        for gate in gates:
+            out = statevector._evolve(batch.reshape((2,) * n + (2,)), (gate,))
+            dense = circuit_unitary(Circuit(n, (gate,))) @ batch
+            assert out.shape == (2,) * n + (2,)
+            assert_allclose(out.reshape(2**n, 2), dense, rtol=0, atol=1e-12)
 
     def test_buffers_do_not_leak_between_calls(self):
         rng = np.random.default_rng(7)

@@ -327,7 +327,8 @@ def test_wrong_row_readout_fails_identify_too(monkeypatch):
 
 def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
     # One tag per Bell state, then identify's readout for each of the 100 variates.  Each
-    # pair draws one outcome on all of them, so its results share one residual.
+    # pair draws one outcome on all of them, so its results share one residual.  cloning
+    # builds each pair's four-qubit register, then that pair's two-qubit residual.
     built, batches = [], []
 
     def counting_built(*args):
@@ -342,8 +343,8 @@ def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
     monkeypatch.setattr(cloning, "_readouts", recording)
     assert check_nondisturbance(0).passed
     assert [len(results) for results in batches] == [100] * 4
-    assert len(built) == 4
-    for residual, results in zip(built, batches):
+    assert [state.num_qubits for state in built] == [4, 2] * 4
+    for residual, results in zip(built[1::2], batches):
         assert all(result.residual_state is residual for result in results)
 
 
@@ -373,9 +374,10 @@ def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
 
 
 def test_verify_reports_a_rejected_state_without_a_traceback(monkeypatch, capsys):
-    # born-sampling-statistics is the first check to build a state from the kernel's
-    # result and has no FAIL path for a state that StateVector rejects, so the
-    # whole run stops; verify says why and exits 1.
+    # bell-roundtrip is the first check to build a state from the patched kernel's
+    # result (cloning binds _evolve by name, so _joint keeps the genuine one) and has
+    # no FAIL path for a state that StateVector rejects, so the whole run stops;
+    # verify says why and exits 1.
     _patch(monkeypatch, _SCALING_KERNEL)
     assert cli.main(["verify", "--seed", "0"]) == 1
     captured = capsys.readouterr()
@@ -386,6 +388,24 @@ def test_verify_reports_a_rejected_state_without_a_traceback(monkeypatch, capsys
 
 _NAN_KERNEL = (statevector, {"_evolve": lambda view, gates: np.full_like(view, np.nan)})
 _NAN_DENSE = (statevector, {"_dense_gate": lambda g, n: np.full_like(_DENSE(g, n), np.nan)})
+
+
+def _nan_trace(state, keep):
+    # _built skips the finiteness check that a public DensityMatrix would make.
+    dim = 2 ** len(keep)
+    return statevector._built(DensityMatrix, len(keep), np.full((dim, dim), np.nan, dtype=complex))
+
+
+# verification imports partial_trace by name, so its own binding is the one patched.
+_NAN_TRACE = (verification, {"partial_trace": _nan_trace})
+_NAN_MARGINAL = (
+    statevector,
+    {"_outcome_marginal": lambda state, qubits: np.full_like(_MARGINAL(state, qubits), np.nan)},
+)
+_NAN_PROBABILITY = (
+    cloning,
+    {"_readouts": lambda joint, v: [replace(r, probability=np.nan) for r in _READOUTS(joint, v)]},
+)
 _NAN_CASES = [
     (
         "nan-kernel",
@@ -403,6 +423,9 @@ _NAN_CASES = [
             check_decode_encode_identity,
         ],
     ),
+    ("nan-marginal", _NAN_MARGINAL, [check_born_normalization, check_identification_point_mass]),
+    ("nan-trace", _NAN_TRACE, [check_partial_trace_product]),
+    ("nan-probability", _NAN_PROBABILITY, [check_nondisturbance]),
 ]
 
 
