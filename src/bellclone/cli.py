@@ -102,11 +102,7 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = run_all_checks(args.seed)
-    except ValueError as exc:  # a check that has no FAIL path for a rejected state
-        print(f"verify: {exc}", file=sys.stderr)
-        return 1
+    results = run_all_checks(args.seed)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         line = (

@@ -1,7 +1,7 @@
-import inspect
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,17 +198,24 @@ _FLIPPED_ANCILLA = (cloning, {"tag_circuit": lambda: _FLIPPED_TAG})
 _PERFECT_FIDELITY = (cloning, {"fidelity_mixed": lambda rho, psi: 1.0})
 
 
+def _run(check):
+    """check's result at seed 0, run by verification._results from check's _CHECKS entry.
+
+    The kernel sweep's entry gives its two results; each half below picks its own.
+    """
+    entry = next((entry for entry in verification._CHECKS if entry[1] is check), None)
+    if entry is None:
+        return check()
+    results = verification._results(*entry, 0)
+    return results[0] if len(results) == 1 else results
+
+
 def check_kernel_dense_agreement():
-    return check_kernel_against_dense()[0]
+    return _run(check_kernel_against_dense)[0]
 
 
 def check_dense_unitarity():
-    return check_kernel_against_dense()[1]
-
-
-def _run(check) -> CheckResult:
-    """A check's result, at seed 0 for the checks that take a seed."""
-    return check(0) if inspect.signature(check).parameters else check()
+    return _run(check_kernel_against_dense)[1]
 
 
 # (label, mutant, the checks it fails, the least deviation each must report)
@@ -241,6 +248,7 @@ _CASES = [
     ("transposed-trace", _TRANSPOSED_TRACE, [check_partial_trace_product], 0.1),
     ("unconjugated-fidelity", _UNCONJUGATED_FIDELITY, [check_fidelity_conventions], 0.1),
     ("duplicated-bell", _DUPLICATED_BELL, [check_bell_orthonormality], 0.1),
+    # The NaN residual is rejected inside cloning, so _results reads it as inf.
     ("wrong-row-readout", _WRONG_ROW, [check_nondisturbance], 0.1),
     # Without the escalation these read 0.604, 100 and 0.5.
     ("dropped-outcome", _DROPPED_OUTCOME, [check_born_normalization], 0.99),
@@ -374,16 +382,64 @@ def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
 
 
 def test_verify_reports_a_rejected_state_without_a_traceback(monkeypatch, capsys):
-    # bell-roundtrip is the first check to build a state from the patched kernel's
-    # result (cloning binds _evolve by name, so _joint keeps the genuine one) and has
-    # no FAIL path for a state that StateVector rejects, so the whole run stops;
-    # verify says why and exits 1.
+    # bell-roundtrip builds a state from the patched kernel's result (cloning binds
+    # _evolve by name, so _joint keeps the genuine one), and StateVector rejects it.
+    # That check FAILs at an infinite deviation, and the other 18 still report.
     _patch(monkeypatch, _SCALING_KERNEL)
     assert cli.main(["verify", "--seed", "0"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("verify: state is not normalized")
-    assert "Traceback" not in captured.err
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 20
+    assert lines[-1] == "16/19 checks passed"
+    failing = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failing] == [
+        "gate-norm-preservation",
+        "kernel-dense-agreement",
+        "bell-roundtrip",
+    ]
+    roundtrip = "FAIL bell-roundtrip tolerance=0 max_deviation=inf (state is not normalized: "
+    assert failing[-1].startswith(roundtrip)
+    assert failing[-1].endswith(")")
+
+
+def _raising(*args):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize(
+    "entry", verification._CHECKS, ids=lambda entry: entry[1].__name__.removeprefix("check_")
+)
+def test_no_check_hides_another(entry, monkeypatch):
+    table = [(e[0], _raising, e[2]) if e is entry else e for e in verification._CHECKS]
+    monkeypatch.setattr(verification, "_CHECKS", table)
+    results = run_all_checks(0)
+    assert [r.name for r in results] == [name for names, _, _ in table for name in names]
+    failing = [r for r in results if not r.passed]
+    assert [r.name for r in failing] == list(entry[0])
+    assert all(r.deviation == math.inf and r.detail == "boom" for r in failing)
+
+
+_RESULTS = verification._results
+
+
+def _reraising_results(names, check, seeded, seed):
+    # _results without its try: the check's ValueError leaves run_all_checks.
+    results = check(seed) if seeded else check()
+    return [results] if isinstance(results, CheckResult) else list(results)
+
+
+def _finite_escalation(names, check, seeded, seed):
+    # The deleted nondisturbance sentinel's finite 1.0 in place of inf.
+    results = _RESULTS(names, check, seeded, seed)
+    return [replace(r, deviation=1.0) if r.deviation == math.inf else r for r in results]
+
+
+@pytest.mark.parametrize("runner", [_reraising_results, _finite_escalation])
+def test_a_weaker_runner_fails_the_hiding_test(runner, monkeypatch):
+    monkeypatch.setattr(verification, "_results", runner)
+    with pytest.raises((AssertionError, ValueError)):
+        test_no_check_hides_another(verification._CHECKS[0], monkeypatch)
 
 
 _NAN_KERNEL = (statevector, {"_evolve": lambda view, gates: np.full_like(view, np.nan)})
@@ -406,6 +462,21 @@ _NAN_PROBABILITY = (
     cloning,
     {"_readouts": lambda joint, v: [replace(r, probability=np.nan) for r in _READOUTS(joint, v)]},
 )
+# verification imports fidelity_pure and clone by name, so its own bindings are the ones patched.
+_NAN_FIDELITY_PURE = (verification, {"fidelity_pure": lambda psi, phi: np.nan})
+# _built's norm check rejects a NaN register, so the two checks get a bare stand-in.
+_NAN_JOINT = (
+    cloning,
+    {"_joint": lambda pair, c: SimpleNamespace(amplitudes=np.full(16, np.nan, dtype=complex))},
+)
+# clone's reduced states are genuine; only the fidelities it scores them at are NaN.
+_NAN_CLONE_FIDELITY = (cloning, {"fidelity_mixed": lambda rho, psi: np.nan})
+_CLONE = verification.clone
+# Only the clone half reads NaN, so a min() fold picks a finite original and drops it.
+_NAN_CLONE_HALF = (
+    verification,
+    {"clone": lambda pair: replace(_CLONE(pair), fidelity_clone=np.nan)},
+)
 _NAN_CASES = [
     (
         "nan-kernel",
@@ -426,6 +497,14 @@ _NAN_CASES = [
     ("nan-marginal", _NAN_MARGINAL, [check_born_normalization, check_identification_point_mass]),
     ("nan-trace", _NAN_TRACE, [check_partial_trace_product]),
     ("nan-probability", _NAN_PROBABILITY, [check_nondisturbance]),
+    (
+        "nan-fidelity-pure",
+        _NAN_FIDELITY_PURE,
+        [check_fidelity_conventions, check_bell_orthonormality],
+    ),
+    ("nan-joint", _NAN_JOINT, [check_tag_subspace_action, check_exact_cloning]),
+    ("nan-clone-fidelity", _NAN_CLONE_FIDELITY, [check_no_cloning_curve]),
+    ("nan-clone-half", _NAN_CLONE_HALF, [check_clone_fidelity_vs_ucm]),
 ]
 
 
