@@ -105,9 +105,8 @@ def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
     """The pair on (0, 1) with |00> ancillas on (2, 3), after ``circuit``: one state built."""
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
-    product = pair.amplitudes[:, None] * _ANCILLAS.amplitudes[None, :]
-    register = _evolve(product.reshape(2, 2, 2, 2, 1), circuit.gates)
-    return _built(StateVector, 4, register.reshape(-1))
+    product = (pair.amplitudes[:, None] * _ANCILLAS.amplitudes[None, :]).reshape(-1)
+    return _built(StateVector, 4, _evolve(product, circuit.gates))
 
 
 def _readouts(joint: StateVector, variates: np.ndarray | list) -> list[IdentificationResult]:

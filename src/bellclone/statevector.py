@@ -6,7 +6,7 @@ index 1 and |10> at index 2.  Gates address qubits by these positions.
 
 Everything here is a pure function over value-semantic containers: inputs are
 never mutated and stored arrays are frozen.  Gates, measurement and partial
-trace index the amplitudes through reshaped views with an axis per qubit; the
+trace index the amplitudes through reshaped views of the stored vector; the
 only dense-matrix code path is circuit_unitary(), kept separate so it can serve
 as an independent cross-check of the gate loop.  _grouped() is the one
 projection helper: partial_trace(), the Born marginal, a record's post_state
@@ -17,8 +17,8 @@ StateVector or DensityMatrix passes all its checks.  A state built here from a
 fresh array takes _built(), which freezes the array uncopied and checks only a
 state vector's norm.  _NORM_ATOL is the one tolerance: traces and Born
 probabilities are squared norms and take a bound derived from it, wide enough
-for any state the norm check accepts.  _evolve() is the one gate loop, with a
-trailing batch axis, for apply_circuit(), cloning's _joint() and verify's gate
+for any state the norm check accepts.  _evolve() is the one gate loop, on
+amplitudes as stored, for apply_circuit(), cloning's _joint() and verify's gate
 checks; each gate reshapes C-ordered buffers to the view giving its qubits their
 own axes and writes one of two buffers reused by turns, with a third as scratch.
 
@@ -277,11 +277,13 @@ def _grouped(values: np.ndarray, num_qubits: int, first: Sequence[int]) -> np.nd
 
 
 def _evolve(view: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
-    """The gates on a view with one axis per qubit, then one batch axis; no validation.
+    """The gates on amplitudes as stored: (2**n,) for one state, (2**n, k) for k columns.
 
-    Each gate reshapes the C-ordered buffers to its own 3-D or 5-D view.  The bytes hold
-    only with the matrix column as multiply's first operand (numpy rounds c * v and v * c
-    apart) and a length-1 slice for each half it scales (a 0-d one takes the scalar path).
+    The result has the input's shape; the input may have any strides, and nothing is
+    validated.  Each gate reshapes the C-ordered buffers to its own 3-D or 5-D view.  The
+    bytes hold only with the matrix column as multiply's first operand (numpy rounds c * v
+    and v * c apart) and a length-1 slice for each half it scales (a 0-d one takes the
+    scalar path).
     """
     out = np.empty_like(view, order="C")  # so that every reshape of a buffer is a view
     other, spare = np.empty_like(out), np.empty_like(out)
@@ -311,12 +313,12 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the gates in listed order, as _evolve's batch of one, checking only the final norm."""
+    """Apply the gates in listed order through _evolve, checking only the final norm."""
     n = state.num_qubits
     if circuit.num_qubits != n:
         raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {n}")
-    view = _evolve(state.amplitudes.reshape((2,) * n + (1,)), circuit.gates)
-    return _built(StateVector, n, view.reshape(-1) if circuit.gates else state.amplitudes.copy())
+    amps = _evolve(state.amplitudes, circuit.gates)
+    return _built(StateVector, n, amps if circuit.gates else amps.copy())
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -431,7 +433,7 @@ def _dense_gate(gate: Gate, num_qubits: int) -> np.ndarray:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit, as a brute-force reference.
 
-    Deliberately shares no code with apply_gate: each gate is expanded to a
+    Deliberately shares no code with _evolve, the gate loop: each gate is expanded to a
     full matrix via Kronecker products and the expansions are multiplied in
     application order.  Refuses circuits beyond MAX_DENSE_QUBITS qubits.
     """

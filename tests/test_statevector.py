@@ -39,6 +39,9 @@ from bellclone.verification import _SWEEP_MATRIX, random_circuit, random_state
 
 from oracles import BELL_AMPLITUDES, SQRT_HALF, born_distribution, reduced_density
 
+# Real and imaginary parts, with both signed zeros.
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
 S = SQRT_HALF
 
 
@@ -318,9 +321,10 @@ class TestApplyCircuit:
         circuit = random_circuit(n, depth, rng)
         states = [random_state(n, rng) for _ in range(batch)]
         stacked = np.stack([state.amplitudes for state in states], axis=-1)
-        out = statevector._evolve(stacked.reshape((2,) * n + (batch,)), circuit.gates)
+        out = statevector._evolve(stacked, circuit.gates)
         singles = np.stack([apply_circuit(state, circuit).amplitudes for state in states])
-        assert out.reshape(2**n, batch).T.tobytes() == singles.tobytes()
+        assert out.shape == stacked.shape
+        assert out.T.tobytes() == singles.tobytes()
 
     @pytest.mark.parametrize("n", range(5, 9))
     def test_every_placement_matches_the_dense_route(self, n):
@@ -331,10 +335,31 @@ class TestApplyCircuit:
         gates += [cnot(c, t) for c in range(n) for t in range(n) if c != t]
         batch = np.stack([random_state(n, rng).amplitudes for _ in range(2)], axis=-1)
         for gate in gates:
-            out = statevector._evolve(batch.reshape((2,) * n + (2,)), (gate,))
+            out = statevector._evolve(batch, (gate,))
             dense = circuit_unitary(Circuit(n, (gate,))) @ batch
-            assert out.shape == (2,) * n + (2,)
-            assert_allclose(out.reshape(2**n, 2), dense, rtol=0, atol=1e-12)
+            assert out.shape == batch.shape
+            assert_allclose(out, dense, rtol=0, atol=1e-12)
+
+    @given(
+        n=st.integers(1, 6),
+        depth=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        parts=st.lists(st.tuples(_PART, _PART), min_size=64, max_size=64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_layout_gives_the_same_bytes(self, n, depth, seed, parts):
+        # _evolve takes amplitudes as stored: a flat state, one column, the per-qubit view
+        # with a batch axis, or a strided column of a wider batch all read the same bytes.
+        circuit = random_circuit(n, depth, np.random.default_rng(seed))
+        flat = np.array([complex(re, im) for re, im in parts[: 2**n]])
+        wide = np.zeros((2**n, 3), dtype=complex)
+        wide[:, 1] = flat
+        strided = wide[:, 1:2]
+        assert not strided.flags.c_contiguous
+        layouts = [flat, flat[:, None], flat.reshape((2,) * n + (1,)), strided]
+        outs = [statevector._evolve(layout, circuit.gates) for layout in layouts]
+        assert [out.shape for out in outs] == [layout.shape for layout in layouts]
+        assert {out.tobytes() for out in outs} == {outs[0].tobytes()}
 
     def test_buffers_do_not_leak_between_calls(self):
         rng = np.random.default_rng(7)

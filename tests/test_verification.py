@@ -145,8 +145,11 @@ def _transposing_kernel(view, gates):
 
 
 def _first_column_kernel(view, gates):
-    # Right on a batch of one; every other column of a batch gets the first one's result.
-    return np.broadcast_to(_EVOLVE(view[..., :1], gates), view.shape)
+    # Right on one state or a batch of one; every other column of a batch gets the first
+    # one's result.
+    if view.ndim == 1:
+        return _EVOLVE(view, gates)
+    return np.broadcast_to(_EVOLVE(view[:, :1], gates), view.shape)
 
 
 def _zeroed_last_outcome(state, qubits):
@@ -297,7 +300,7 @@ def test_sweep_covers_every_gate_and_pair_then_the_fixed_circuits():
 
 
 def test_the_sweep_builds_no_states(monkeypatch):
-    # The gate checks run _evolve on bare batches: no basis column or result becomes a
+    # The gate checks run _evolve on bare arrays: no basis column or result becomes a
     # StateVector, and gate-norm and linearity build only their random_state inputs.
     calls = Counter()
     built, post_init = statevector._built, StateVector.__post_init__
@@ -373,7 +376,7 @@ def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
 
 
 def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
-    # The check reads the bare batch's norm, so it measures the 1e-9 itself.
+    # The check reads the bare state's norm, so it measures the 1e-9 itself.
     _patch(monkeypatch, _SCALING_KERNEL)
     result = check_gate_norm_preservation(0)
     assert not result.passed
