@@ -5,9 +5,9 @@ and two ancillas on (2, 3) prepared in |00>.  When the pair is a Bell basis
 element of index i, the transform writes bin(i) onto the ancillas and returns
 the pair unchanged.  Measuring the ancillas therefore identifies the pair
 without disturbing it, and re-encoding the ancillas produces a second copy.
-identify() is two steps: _joint() runs the transform on the bare product of the
-pair and |00>, which keeps the pair's norm, and builds one state at the end;
-_readouts() draws the ancilla outcome per uniform variate and builds one
+identify() is two steps: _joint() runs the transform's cached gather plan on the
+bare product of the pair and |00>, which keeps the pair's norm, and builds one
+state; _readouts() draws the ancilla outcome per uniform variate and builds one
 residual per outcome drawn, shared by its results.  clone() also uses _joint().
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
@@ -25,9 +25,9 @@ from .bell import bell_decode_circuit, bell_encode_circuit, bell_index_of
 from .statevector import (
     _built,
     _draw,
-    _evolve,
     _grouped,
     _outcome_marginal,
+    _planned,
     Circuit,
     StateVector,
     basis_state,
@@ -102,11 +102,11 @@ def clone_circuit() -> Circuit:
 
 
 def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
-    """The pair on (0, 1) with |00> ancillas on (2, 3), after ``circuit``: one state built."""
+    """The pair on (0, 1) with |00> ancillas on (2, 3), after ``circuit``'s plan: one state."""
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
     product = (pair.amplitudes[:, None] * _ANCILLAS.amplitudes[None, :]).reshape(-1)
-    return _built(StateVector, 4, _evolve(product, circuit.gates))
+    return _built(StateVector, 4, _planned(product, circuit))
 
 
 def _readouts(joint: StateVector, variates: np.ndarray | list) -> list[IdentificationResult]:

@@ -18,9 +18,10 @@ fresh array takes _built(), which freezes the array uncopied and checks only a
 state vector's norm.  _NORM_ATOL is the one tolerance: traces and Born
 probabilities are squared norms and take a bound derived from it, wide enough
 for any state the norm check accepts.  _evolve() is the one gate loop, on
-amplitudes as stored, for apply_circuit(), cloning's _joint() and verify's gate
-checks; each gate reshapes C-ordered buffers to the view giving its qubits their
-own axes and writes one of two buffers reused by turns, with a third as scratch.
+amplitudes as stored, for apply_circuit() and verify's gate checks; each gate
+reshapes C-ordered buffers to its qubits' own axes and writes one of two buffers
+used by turns, with a third as scratch.  cloning's _joint() runs _planned(), the
+gather plan a Circuit compiles once, held byte for byte to that loop.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
@@ -224,6 +225,26 @@ class Circuit:
                     )
         object.__setattr__(self, "gates", gates)
 
+    @cached_property
+    def _plan(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """_planned's (coefficients, indices) per uncontrolled gate, then a final gather; each
+        run of CNOTs is a permutation, folded into the indices or the gather after it."""
+        index = np.arange(2**self.num_qubits)
+        steps, gather = [], index
+        for gate in self.gates:
+            bit = index.size >> (gate.target + 1)  # qubit 0 is the most significant bit
+            if gate.control is None:
+                # Row j: each output's matrix entry (its target bit, j), its input with bit j.
+                coefficients = gate.matrix.T[:, (index & bit) // bit]
+                steps.append((coefficients, gather[np.stack((index & ~bit, index | bit))]))
+                gather = index
+            else:
+                control = index.size >> (gate.control + 1)
+                gather = gather[np.where(index & control, index ^ bit, index)]
+        for array in (*(a for step in steps for a in step), gather):
+            array.setflags(write=False)
+        return steps, gather
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
@@ -285,8 +306,11 @@ def _evolve(view: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
     and v * c apart) and a length-1 slice for each half it scales (a 0-d one takes the
     scalar path).
     """
+    if not gates:
+        return view
     out = np.empty_like(view, order="C")  # so that every reshape of a buffer is a view
-    other, spare = np.empty_like(out), np.empty_like(out)
+    other = np.empty_like(out) if len(gates) > 1 else None
+    spare = np.empty_like(out) if any(gate.control is None for gate in gates) else None
     for gate in gates:
         t, c = gate.target, gate.control
         if c is None:
@@ -305,6 +329,16 @@ def _evolve(view: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
                 o[:, :, :, 0], o[:, :, :, 1] = v[:, :, :, 0], v[:, ::-1, :, 1]
         view, out, other = out, other, out
     return view
+
+
+def _planned(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """_evolve's products, matrix entry first, and sums on one flat state, by the circuit's
+    cached plan: compiling one costs more than an _evolve run, so it serves a fixed register."""
+    steps, gather = circuit._plan
+    for coefficients, indices in steps:
+        products = coefficients * amps[indices]
+        amps = products[0] + products[1]
+    return amps[gather]
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

@@ -283,7 +283,9 @@ class TestVerify:
         assert_matches_golden(f"verify --seed {seed}", proc.stdout)
 
 
-# "@bell" and "@superposition" are the files the clone tests write.
+# "@name" is the committed input file tests/golden/state-<name>.txt: Bell state 1, the
+# equal superposition of Bell states 0 and 1, and random complex weights on all four Bell
+# states, no two amplitudes equal.
 _PINNED_COMMANDS = [
     "demo --seed 0",
     "demo --seed 0 --format json",
@@ -299,6 +301,8 @@ _PINNED_COMMANDS = [
     "clone --state @bell --format json",
     "clone --state @superposition",
     "clone --state @superposition --format json",
+    "clone --state @generic",
+    "clone --state @generic --format json",
 ]
 
 
@@ -312,14 +316,12 @@ _PINNED_COMMANDS = [
         for command in _PINNED_COMMANDS
     ],
 )
-def test_report_bytes_are_pinned(tmp_path, command):
-    files = {
-        "@bell": write_state(tmp_path, BELL_AMPLITUDES[1], name="bell.txt"),
-        "@superposition": write_state(
-            tmp_path, (BELL_AMPLITUDES[0] + BELL_AMPLITUDES[1]) / math.sqrt(2), name="sup.txt"
-        ),
-    }
-    proc = run_in_process(*[files.get(token, token) for token in command.split()])
+def test_report_bytes_are_pinned(command):
+    argv = [
+        str(GOLDEN / f"state-{token[1:]}.txt") if token.startswith("@") else token
+        for token in command.split()
+    ]
+    proc = run_in_process(*argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert_matches_golden(command, proc.stdout)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -18,6 +19,7 @@ from bellclone import (
     apply_gate,
     basis_state,
     circuit_unitary,
+    clone_circuit,
     cnot,
     fidelity_mixed,
     fidelity_pure,
@@ -379,6 +381,48 @@ class TestApplyCircuit:
         unchanged = apply_circuit(states[0], Circuit(3))
         assert unchanged.amplitudes.tobytes() == before[0]
         assert not np.shares_memory(unchanged.amplitudes, states[0].amplitudes)
+
+    @pytest.mark.parametrize("gates", [(), (cnot(0, 1),)], ids=["empty", "one-cnot"])
+    def test_a_cnot_or_no_gate_allocates_one_buffer(self, gates):
+        # _evolve allocates a second buffer only for a second gate and scratch only for
+        # an uncontrolled one, so the peak is the result's own buffer, not three of them.
+        state = random_state(16, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            apply_circuit(state, Circuit(16, gates))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.amplitudes.nbytes <= peak < 1.5 * state.amplitudes.nbytes
+
+
+class TestGatherPlan:
+    @given(
+        n=st.integers(1, 6),
+        depth=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        parts=st.lists(st.tuples(_PART, _PART), min_size=64, max_size=64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_plan_gives_the_gate_loops_bytes(self, n, depth, seed, parts):
+        # cloning's _joint runs a circuit's cached plan, not _evolve: on every gate kind,
+        # complex single_qubit matrices and signed zeros included, the bytes must agree.
+        circuit = random_circuit(n, depth, np.random.default_rng(seed))
+        flat = np.array([complex(re, im) for re, im in parts[: 2**n]])
+        flat.setflags(write=False)
+        planned = statevector._planned(flat, circuit)
+        assert planned.shape == flat.shape
+        assert planned.tobytes() == statevector._evolve(flat, circuit.gates).tobytes()
+        assert circuit._plan is circuit._plan
+
+    @pytest.mark.parametrize("builder, count", [(tag_circuit, 2), (clone_circuit, 3)])
+    def test_the_protocol_circuits_fold_their_cnots(self, builder, count):
+        # Two Hadamards on qubit 0 tag the pair, and cloning adds one on qubit 2; every
+        # CNOT folds into a step's indices or the final gather.
+        steps, gather = builder()._plan
+        assert len(steps) == count
+        assert all(not array.flags.writeable for step in steps for array in step)
+        assert not gather.flags.writeable
 
 
 class TestTensorAndOverlaps:

@@ -385,8 +385,8 @@ def test_gate_norm_check_fails_on_a_scaling_kernel(monkeypatch):
 
 
 def test_verify_reports_a_rejected_state_without_a_traceback(monkeypatch, capsys):
-    # bell-roundtrip builds a state from the patched kernel's result (cloning binds
-    # _evolve by name, so _joint keeps the genuine one), and StateVector rejects it.
+    # bell-roundtrip builds a state from the patched kernel's result (_joint runs the
+    # circuit's gather plan, not _evolve, so it stays genuine), and StateVector rejects it.
     # That check FAILs at an infinite deviation, and the other 18 still report.
     _patch(monkeypatch, _SCALING_KERNEL)
     assert cli.main(["verify", "--seed", "0"]) == 1
