@@ -8,7 +8,8 @@ without disturbing it, and re-encoding the ancillas produces a second copy.
 identify() is two steps: _joint() runs the transform's cached gather plan on the
 bare product of the pair and |00>, which keeps the pair's norm, and builds one
 state; _readouts() draws the ancilla outcome per uniform variate and builds one
-residual per outcome drawn, shared by its results.  clone() also uses _joint().
+result per outcome drawn; verify's Born and nondisturbance checks draw through it
+too.  clone() also uses _joint().
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
 superposition of Bell states the transform entangles pair and ancillas and the
@@ -109,15 +110,16 @@ def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
     return _built(StateVector, 4, _planned(product, circuit))
 
 
-def _readouts(joint: StateVector, variates: np.ndarray | list) -> list[IdentificationResult]:
-    """identify's readout: a Born draw per uniform variate, and one residual per outcome drawn."""
+def _readouts(joint: StateVector, variates: np.ndarray | list) -> tuple[np.ndarray, dict]:
+    """The one ancilla readout: (outcome drawn per uniform variate, {outcome: its result})."""
     marginal = _outcome_marginal(joint, _ANCILLA_QUBITS)
     rows = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)
-    drawn = _draw(marginal, variates).tolist()
-    residuals = {
-        i: _built(StateVector, 2, rows[i] / np.linalg.norm(rows[i])) for i in dict.fromkeys(drawn)
-    }
-    return [IdentificationResult(i, f"{i:02b}", float(marginal[i]), residuals[i]) for i in drawn]
+    drawn = _draw(marginal, variates)
+    results = {}
+    for i in set(drawn.tolist()):
+        residual = _built(StateVector, 2, rows[i] / np.linalg.norm(rows[i]))
+        results[i] = IdentificationResult(i, f"{i:02b}", float(marginal[i]), residual)
+    return drawn, results
 
 
 def identify(pair: StateVector, seed: int) -> IdentificationResult:
@@ -129,7 +131,9 @@ def identify(pair: StateVector, seed: int) -> IdentificationResult:
     residual pair equals the input; the seed only matters on superpositions,
     where the Born rule genuinely has something to sample.
     """
-    return _readouts(_joint(pair, tag_circuit()), [np.random.default_rng(seed).random()])[0]
+    _, results = _readouts(_joint(pair, tag_circuit()), [np.random.default_rng(seed).random()])
+    (result,) = results.values()
+    return result
 
 
 def clone(pair: StateVector) -> CloneReport:

@@ -21,15 +21,16 @@ for any state the norm check accepts.  _evolve() is the one gate loop, on
 amplitudes as stored, for apply_circuit() and verify's gate checks; each gate
 reshapes C-ordered buffers to its qubits' own axes and writes one of two buffers
 used by turns, with a third as scratch.  cloning's _joint() runs _planned(), the
-gather plan a Circuit compiles once, held byte for byte to that loop.
+gather plan a Circuit compiles once, on its 4-qubit register only; the tests hold
+it byte for byte to that loop on 1 to 6 qubits.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
-variates and knows nothing of seeds; measure() and identify()'s readout pass it
-default_rng(seed).random().  A record builds its post-measurement state, fully
-checked, on first read, when a caller needs it.  tensor() and _kron() lay out
-np.kron's bytes directly; tensor() rescales only a product past the norm bound.
+variates and knows nothing of seeds; measure() and cloning's _readouts(), the one
+ancilla readout, pass it default_rng draws.  A record builds its post-measurement
+state, fully checked, on first read, when a caller needs it.  tensor() and _kron()
+lay out np.kron's bytes directly; tensor() rescales only a product past the norm bound.
 """
 
 from __future__ import annotations
@@ -333,7 +334,9 @@ def _evolve(view: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
 
 def _planned(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
     """_evolve's products, matrix entry first, and sums on one flat state, by the circuit's
-    cached plan: compiling one costs more than an _evolve run, so it serves a fixed register."""
+    cached plan: compiling one costs more than an _evolve run, so it serves one fixed register,
+    cloning's 4 qubits.  Tested byte-equal to _evolve on 1-6 qubits; on 13 or more the last
+    bit has differed."""
     steps, gather = circuit._plan
     for coefficients, indices in steps:
         products = coefficients * amps[indices]

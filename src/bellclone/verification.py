@@ -22,8 +22,6 @@ from . import bell, cloning, statevector
 from .bell import BELL_INDICES, bell_index_of, bell_state, origin_bits
 from .cloning import _ANCILLA_QUBITS, UCM_REFERENCE, clone
 from .statevector import (
-    _draw,
-    _outcome_marginal,
     Circuit,
     DensityMatrix,
     Gate,
@@ -191,13 +189,12 @@ def check_born_statistics(seed: int) -> CheckResult:
     The probe state is the tagged superposition (b0+b1)/sqrt(2) with the
     ancillas measured: outcomes "00" and "01" are equally likely and the
     other two outcomes are impossible, so any stray count is an instant fail.
-    All 10,000 shots are looked up in the probe's marginal at once, their
-    variates drawn from default_rng((seed, 7)).
+    All 10,000 shots are drawn at once through cloning._readouts, identify's
+    own readout, their variates drawn from default_rng((seed, 7)).
     """
     pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
     state = cloning._joint(pair, cloning.tag_circuit())
-    marginal = _outcome_marginal(state, _ANCILLA_QUBITS)
-    shots = _draw(marginal, np.random.default_rng((seed, 7)).random(_BORN_SHOTS))
+    shots, _ = cloning._readouts(state, np.random.default_rng((seed, 7)).random(_BORN_SHOTS))
     counts = {format(o, "02b"): int(c) for o, c in enumerate(np.bincount(shots, minlength=4))}
     sigma = math.sqrt(_BORN_SHOTS * 0.5 * 0.5)
     deviation = max(abs(counts["00"] - 5000), abs(counts["01"] - 5000)) / sigma
@@ -309,7 +306,8 @@ def check_nondisturbance(seed: int) -> CheckResult:
     readings = []
     for i in BELL_INDICES:
         pair = bell_state(i)
-        for result in cloning._readouts(cloning._joint(pair, cloning.tag_circuit()), variates):
+        _, results = cloning._readouts(cloning._joint(pair, cloning.tag_circuit()), variates)
+        for result in results.values():
             fidelity = fidelity_pure(result.residual_state, pair)
             readings += [1.0 - fidelity, result.probability - 1.0]
             if result.index != i:

@@ -367,7 +367,8 @@ class TestMatrix:
         ancilla[0] = 1.0
         for index in range(4):
             out = unitary @ np.kron(BELL_AMPLITUDES[index], ancilla)
-            assert_allclose(out, np.kron(BELL_AMPLITUDES[index], BELL_AMPLITUDES[index]), atol=1e-12)
+            expected = np.kron(BELL_AMPLITUDES[index], BELL_AMPLITUDES[index])
+            assert_allclose(out, expected, atol=1e-12)
 
     def test_entries_have_17_significant_digits(self):
         line = run_in_process("matrix", "encode").stdout.splitlines()[0]
@@ -399,7 +400,8 @@ _TOKENS = st.sampled_from(
 @st.composite
 def _state_file_bytes(draw):
     """A Bell-pair file with a few tokens replaced, lines cut and bytes spliced in."""
-    rows = [["qubits", "2"], [repr(SQRT_HALF), "0"], ["0", "0"], ["0", "0"], [repr(SQRT_HALF), "0"]]
+    half = repr(SQRT_HALF)
+    rows = [["qubits", "2"], [half, "0"], ["0", "0"], ["0", "0"], [half, "0"]]
     for _ in range(draw(st.integers(0, 2))):
         row = draw(st.integers(0, len(rows) - 1))
         rows[row][draw(st.integers(0, 1))] = draw(_TOKENS)
@@ -426,7 +428,9 @@ def test_clone_exits_0_or_2_on_arbitrary_file_bytes(tmp_path_factory, data):
 
 # verify runs for a few tenths of a second, so it is drawn one time in sixteen.
 _COMMANDS = st.sampled_from([*["demo", "clone", "matrix", None, "--help"] * 3, "verify"])
-_WORDS = st.sampled_from(["demo", "clone", "verify", "matrix", "--help", "-h", "encode", "tgp", ""])
+_WORDS = st.sampled_from(
+    ["demo", "clone", "verify", "matrix", "--help", "-h", "encode", "tgp", ""]
+)
 _VALUES = st.sampled_from(["0", "3", "-1", "4", "json", "plain", "@bell", "@missing", "@dir"])
 # An OS argv cannot carry NUL, so no drawn argument holds one.
 _TEXT = st.text(st.characters(blacklist_characters="\x00"), max_size=8)

@@ -186,15 +186,19 @@ class TestIdentify:
             identify(basis_state("000"), seed=0)
 
     def test_batch_readout_equals_single_readouts_byte_for_byte(self):
-        # Results of one outcome share a residual; each must equal a one-variate readout's.
+        # One result per outcome drawn; each variate's must equal a one-variate readout's.
         amps = sum(w * BELL_AMPLITUDES[i] for i, w in enumerate((1.0, 2.0, 2.0, 3.0)))
         pair = StateVector(2, amps / math.sqrt(18))
         joint = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
         variates = np.random.default_rng(5).random(200)
-        results = cloning._readouts(joint, variates)
-        assert {result.index for result in results} == set(BELL_INDICES)
-        for u, result in zip(variates, results, strict=True):
-            single = cloning._readouts(joint, [u])[0]
+        drawn, results = cloning._readouts(joint, variates)
+        assert sorted(results) == list(BELL_INDICES)
+        assert all(result.index == index for index, result in results.items())
+        for u, index in zip(variates, drawn.tolist(), strict=True):
+            single_drawn, singles = cloning._readouts(joint, [u])
+            (single,) = singles.values()
+            assert single_drawn.tolist() == [index]
+            result = results[index]
             assert (result.index, result.outcome_bits, result.probability) == (
                 single.index,
                 single.outcome_bits,

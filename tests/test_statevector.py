@@ -219,7 +219,9 @@ class TestCallerInputIntake:
         expected = apply_circuit(bell(0), Circuit(2, (hadamard(0), cnot(0, 1))))
         assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
         assert measure(out, [np.int64(1)], seed=0).outcome == measure(out, [1], seed=0).outcome
-        assert np.array_equal(partial_trace(out, [np.int64(0)]).matrix, partial_trace(out, [0]).matrix)
+        assert np.array_equal(
+            partial_trace(out, [np.int64(0)]).matrix, partial_trace(out, [0]).matrix
+        )
         assert DensityMatrix(np.int64(1), np.eye(2) / 2).num_qubits == 1
 
 
@@ -626,7 +628,8 @@ class TestMeasurement:
         for seed in range(300):
             n = int(rng.integers(1, 6))
             state = random_state(n, rng)
-            qubits = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+            size = int(rng.integers(1, n + 1))
+            qubits = [int(q) for q in rng.choice(n, size=size, replace=False)]
             record = measure(state, qubits, seed=seed)
             # Keep the amplitudes whose index bits match the outcome on every measured qubit.
             index = np.arange(2**n)

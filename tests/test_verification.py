@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bellclone import (
+    BELL_INDICES,
     Circuit,
     DensityMatrix,
     StateVector,
@@ -168,8 +169,15 @@ def _wrong_row_readouts(joint, variates):
     rows = _grouped(joint.amplitudes, 4, (2, 3))
     with np.errstate(invalid="ignore"):
         wrong = [row / np.linalg.norm(row) for row in rows[[k ^ 1 for k in range(4)]]]
-    results = _READOUTS(joint, variates)
-    return [replace(r, residual_state=StateVector(2, wrong[r.index])) for r in results]
+    drawn, results = _READOUTS(joint, variates)
+    return drawn, {
+        i: replace(r, residual_state=StateVector(2, wrong[r.index])) for i, r in results.items()
+    }
+
+
+def _variate_blind_readouts(joint, variates):
+    # Every variate is looked up as 0.0, so every draw lands on the first likely outcome.
+    return _READOUTS(joint, np.zeros(len(variates)))
 
 
 _SCALING_KERNEL = (statevector, {"_evolve": _scaling_kernel})
@@ -190,10 +198,15 @@ _TRANSPOSED_TRACE = (
 )
 _UNCONJUGATED_FIDELITY = (
     verification,
-    {"fidelity_mixed": lambda rho, psi: float((psi.amplitudes @ rho.matrix @ psi.amplitudes).real)},
+    {
+        "fidelity_mixed": lambda rho, psi: float(
+            (psi.amplitudes @ rho.matrix @ psi.amplitudes).real
+        )
+    },
 )
 _DUPLICATED_BELL = (bell, {"_BELL_STATES": {**bell._BELL_STATES, 3: bell._BELL_STATES[1]}})
 _WRONG_ROW = (cloning, {"_readouts": _wrong_row_readouts})
+_VARIATE_BLIND = (cloning, {"_readouts": _variate_blind_readouts})
 # Each of these three reaches its floor only through its check's escalation branch.
 _DROPPED_OUTCOME = (verification, {"measurement_distribution": _without_last_outcome})
 _FLIPPED_TAG = Circuit(4, (*tag_circuit().gates, pauli_x(2)))
@@ -253,6 +266,8 @@ _CASES = [
     ("duplicated-bell", _DUPLICATED_BELL, [check_bell_orthonormality], 0.1),
     # The NaN residual is rejected inside cloning, so _results reads it as inf.
     ("wrong-row-readout", _WRONG_ROW, [check_nondisturbance], 0.1),
+    # Every shot reads 00: 5,000 counts off, 100 sigmas.
+    ("variate-blind-readout", _VARIATE_BLIND, [check_born_statistics], 99),
     # Without the escalation these read 0.604, 100 and 0.5.
     ("dropped-outcome", _DROPPED_OUTCOME, [check_born_normalization], 0.99),
     ("flipped-ancilla", _FLIPPED_ANCILLA, [check_born_statistics], 999),
@@ -316,7 +331,8 @@ def test_the_sweep_builds_no_states(monkeypatch):
     monkeypatch.setattr(statevector, "_built", counting_built)
     monkeypatch.setattr(StateVector, "__post_init__", counting_post_init)
     counts = []
-    for check in (check_gate_norm_preservation, check_circuit_linearity, check_kernel_against_dense):
+    checks = (check_gate_norm_preservation, check_circuit_linearity, check_kernel_against_dense)
+    for check in checks:
         calls.clear()
         _run(check)
         counts.append(dict(calls))
@@ -337,26 +353,32 @@ def test_wrong_row_readout_fails_identify_too(monkeypatch):
 
 
 def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
-    # One tag per Bell state, then identify's readout for each of the 100 variates.  Each
-    # pair draws one outcome on all of them, so its results share one residual.  cloning
-    # builds each pair's four-qubit register, then that pair's two-qubit residual.
-    built, batches = [], []
+    # One tag per Bell state, then identify's readout of all 100 variates.  Each pair
+    # draws its own outcome on every one of them, so the readout builds one result with
+    # one residual: cloning builds each pair's four-qubit register, then that residual.
+    built, identified, batches = [], [], []
+    result_type = cloning.IdentificationResult
 
     def counting_built(*args):
         built.append(statevector._built(*args))
         return built[-1]
+
+    def counting_result(*args):
+        identified.append(result_type(*args))
+        return identified[-1]
 
     def recording(joint, variates):
         batches.append(_READOUTS(joint, variates))
         return batches[-1]
 
     monkeypatch.setattr(cloning, "_built", counting_built)
+    monkeypatch.setattr(cloning, "IdentificationResult", counting_result)
     monkeypatch.setattr(cloning, "_readouts", recording)
     assert check_nondisturbance(0).passed
-    assert [len(results) for results in batches] == [100] * 4
+    assert [drawn.tolist() for drawn, _ in batches] == [[i] * 100 for i in BELL_INDICES]
+    assert [list(results.values()) for _, results in batches] == [[r] for r in identified]
     assert [state.num_qubits for state in built] == [4, 2] * 4
-    for residual, results in zip(built[1::2], batches):
-        assert all(result.residual_state is residual for result in results)
+    assert [result.residual_state for result in identified] == built[1::2]
 
 
 def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
@@ -455,16 +477,18 @@ def _nan_trace(state, keep):
     return statevector._built(DensityMatrix, len(keep), np.full((dim, dim), np.nan, dtype=complex))
 
 
+def _nan_probability_readouts(joint, variates):
+    drawn, results = _READOUTS(joint, variates)
+    return drawn, {i: replace(r, probability=np.nan) for i, r in results.items()}
+
+
 # verification imports partial_trace by name, so its own binding is the one patched.
 _NAN_TRACE = (verification, {"partial_trace": _nan_trace})
 _NAN_MARGINAL = (
     statevector,
     {"_outcome_marginal": lambda state, qubits: np.full_like(_MARGINAL(state, qubits), np.nan)},
 )
-_NAN_PROBABILITY = (
-    cloning,
-    {"_readouts": lambda joint, v: [replace(r, probability=np.nan) for r in _READOUTS(joint, v)]},
-)
+_NAN_PROBABILITY = (cloning, {"_readouts": _nan_probability_readouts})
 # verification imports fidelity_pure and clone by name, so its own bindings are the ones patched.
 _NAN_FIDELITY_PURE = (verification, {"fidelity_pure": lambda psi, phi: np.nan})
 # _built's norm check rejects a NaN register, so the two checks get a bare stand-in.
@@ -566,7 +590,7 @@ def test_born_check_shots_equal_numpy_choice(seed, monkeypatch):
         drawn.append(_draw(marginal, variates))
         return drawn[-1]
 
-    monkeypatch.setattr(verification, "_draw", spy)
+    monkeypatch.setattr(cloning, "_draw", spy)
     check_born_statistics(seed)
     marginal = _born_probe_marginal()
     chosen = np.random.default_rng((seed, 7)).choice(4, p=marginal / marginal.sum(), size=10_000)
