@@ -11,6 +11,7 @@ demo expectation failed, 2 usage or input-file problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -135,6 +136,7 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache  # once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellclone",

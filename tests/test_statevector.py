@@ -1,7 +1,15 @@
+import concurrent.futures
+import contextlib
 import hashlib
 import math
+import os
+import select
+import signal
+import sys
+import threading
 import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -427,6 +435,154 @@ class TestGatherPlan:
         assert not gather.flags.writeable
 
 
+@contextlib.contextmanager
+def _split_at(size, slices):
+    """_evolve cuts each gate on ``size`` or more amplitudes into ``slices``, on its own pool."""
+    with (
+        mock.patch.object(statevector, "_SPLIT_MIN_SIZE", size),
+        mock.patch.object(statevector, "_slice_count", lambda: slices),
+        mock.patch.object(statevector, "_pool", None),
+    ):
+        try:
+            yield
+        finally:
+            if statevector._pool is not None:
+                statevector._pool.shutdown()
+
+
+def _inline(view, gates):
+    with _split_at(math.inf, 1):
+        return statevector._evolve(view, gates)
+
+
+class TestSplitGates:
+    @given(
+        n=st.integers(1, 6),
+        batch=st.one_of(st.none(), st.integers(1, 5)),
+        depth=st.integers(1, 12),
+        slices=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_cut_gives_the_inline_bytes(self, n, batch, depth, slices, seed):
+        # Every view is cut, in even and uneven slices, on every gate kind and placement.
+        rng = np.random.default_rng(seed)
+        circuit = random_circuit(n, depth, rng)
+        states = [random_state(n, rng).amplitudes for _ in range(batch or 1)]
+        view = states[0] if batch is None else np.stack(states, axis=-1)
+        with _split_at(2, slices):
+            split = statevector._evolve(view, circuit.gates)
+        assert split.shape == view.shape
+        assert split.tobytes() == _inline(view, circuit.gates).tobytes()
+
+    @pytest.mark.parametrize("slices", [2, 3, 4])
+    def test_a_wide_state_splits_every_placement_byte_for_byte(self, slices):
+        # Every target, then CNOTs with the leading axis (or the leading and middle axes)
+        # of length 1, and one on the last two qubits.  Three and four slices are uneven.
+        n = 18
+        gates = [single_qubit(t, _SWEEP_MATRIX) for t in range(n)]
+        gates += [cnot(0, 17), cnot(17, 0), cnot(0, 1), cnot(16, 17)]
+        state = random_state(n, np.random.default_rng(18)).amplitudes
+        with _split_at(statevector._SPLIT_MIN_SIZE, slices):
+            split = statevector._evolve(state, gates)
+            assert statevector._pool is not None
+        assert split.tobytes() == _inline(state, gates).tobytes()
+
+    def test_one_usable_cpu_runs_inline_and_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(statevector, "_pool", None)
+        threads = threading.active_count()
+        state = random_state(17, np.random.default_rng(0))
+        apply_circuit(state, Circuit(17, (hadamard(0), cnot(0, 16))))
+        assert statevector._pool is None
+        assert threading.active_count() == threads
+
+    def test_callers_on_many_threads_make_one_pool_and_the_inline_bytes(self):
+        # More callers than CPUs, let go at once and switching as often as they can: each
+        # caller's result is the inline one, and their first split gates make one pool.
+        gates = random_circuit(17, 3, np.random.default_rng(5)).gates
+        states = [random_state(17, np.random.default_rng(k)).amplitudes for k in range(4)]
+        expected = [_inline(state, gates).tobytes() for state in states]
+        executor = concurrent.futures.ThreadPoolExecutor
+        interval = sys.getswitchinterval()
+        for _ in range(5):
+            results, made = [None] * len(states), []
+            start = threading.Barrier(len(states))
+
+            def counted(*args, **kwargs):
+                made.append(None)
+                return executor(*args, **kwargs)
+
+            def run(k):
+                start.wait(timeout=60)
+                results[k] = statevector._evolve(states[k], gates).tobytes()
+
+            callers = [threading.Thread(target=run, args=(k,)) for k in range(len(states))]
+            with (
+                _split_at(statevector._SPLIT_MIN_SIZE, 2),
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", counted),
+            ):
+                sys.setswitchinterval(1e-6)
+                try:
+                    for caller in callers:
+                        caller.start()
+                    for caller in callers:
+                        caller.join(timeout=60)
+                finally:
+                    sys.setswitchinterval(interval)
+            assert not any(caller.is_alive() for caller in callers)
+            assert results == expected
+            assert len(made) == 1
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="os.sched_getaffinity is missing"
+    )
+    def test_the_process_affinity_decides_whether_a_thread_starts(self, monkeypatch):
+        # Nothing patched but the pool: under taskset -c 0 this is the one-CPU branch.
+        monkeypatch.setattr(statevector, "_pool", None)
+        state = random_state(17, np.random.default_rng(2))
+        try:
+            apply_circuit(state, Circuit(17, (hadamard(0),)))
+            assert (statevector._pool is None) == (len(os.sched_getaffinity(0)) == 1)
+        finally:
+            if statevector._pool is not None:
+                statevector._pool.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+    def test_a_forked_child_makes_its_own_pool(self):
+        # The child inherits the parent's pool but none of its threads; a submit to that
+        # pool would wait forever, so the child must drop it and make its own.
+        gates = random_circuit(17, 6, np.random.default_rng(17)).gates
+        state = random_state(17, np.random.default_rng(1)).amplitudes
+        with _split_at(statevector._SPLIT_MIN_SIZE, 2):
+            parent = hashlib.sha256(statevector._evolve(state, gates).tobytes()).digest()
+            read, write = os.pipe()
+            warns = (
+                pytest.warns(DeprecationWarning, match="multi-threaded")
+                if sys.version_info >= (3, 12)
+                else contextlib.nullcontext()
+            )
+            with warns:
+                pid = os.fork()
+                if pid == 0:  # the child never returns into the test runner
+                    try:
+                        dropped = statevector._pool is None
+                        out = statevector._evolve(state, gates).tobytes()
+                        os.write(write, bytes([dropped]) + hashlib.sha256(out).digest())
+                    finally:
+                        os._exit(0)
+            os.close(write)
+            try:
+                if not select.select([read], [], [], 60)[0]:
+                    os.kill(pid, signal.SIGKILL)
+                    pytest.fail("the forked child hung in the gate loop")
+                child = os.read(read, 64)
+            finally:
+                os.close(read)
+                os.waitpid(pid, 0)
+        assert child == bytes([True]) + parent
+
+
 class TestTensorAndOverlaps:
     def test_tensor_of_basis_states(self):
         assert_allclose(
@@ -816,3 +972,19 @@ def test_a_nan_from_the_kernel_is_rejected(monkeypatch):
     monkeypatch.setattr(statevector, "_evolve", nan_kernel)
     with pytest.raises(ValueError, match="not normalized"):
         apply_circuit(basis_state("00"), Circuit(2, (hadamard(0),)))
+
+
+@pytest.mark.parametrize(
+    "scale, accepted",
+    [(1 + 5e-13, True), (1 - 5e-13, True), (1 + 2e-12, False), (1 - 2e-12, False)],
+)
+def test_a_wide_state_meets_the_same_norm_bound(scale, accepted):
+    # From _SPLIT_MIN_SIZE amplitudes on, the norm is summed by einsum, not by a BLAS dot.
+    amps = random_state(17, np.random.default_rng(3)).amplitudes
+    amps = amps / np.linalg.norm(amps) * scale
+    assert amps.size == statevector._SPLIT_MIN_SIZE
+    with contextlib.nullcontext() if accepted else pytest.raises(ValueError, match="norm"):
+        statevector._require_unit_norm(amps)
+    amps[5] = np.nan
+    with pytest.raises(ValueError, match="not normalized"):
+        statevector._require_unit_norm(amps)
