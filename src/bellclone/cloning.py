@@ -27,6 +27,7 @@ from .statevector import (
     _built,
     _draw,
     _grouped,
+    _norm,
     _outcome_marginal,
     _planned,
     Circuit,
@@ -116,8 +117,8 @@ def _readouts(joint: StateVector, variates: np.ndarray | list) -> tuple[np.ndarr
     rows = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)
     drawn = _draw(marginal, variates)
     results = {}
-    for i in set(drawn.tolist()):
-        residual = _built(StateVector, 2, rows[i] / np.linalg.norm(rows[i]))
+    for i in np.bincount(drawn, minlength=marginal.size).nonzero()[0].tolist():
+        residual = _built(StateVector, 2, rows[i] / _norm(rows[i]))
         results[i] = IdentificationResult(i, f"{i:02b}", float(marginal[i]), residual)
     return drawn, results
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .statevector import StateVector, _built
+from .statevector import StateVector, _built, _norm
 
 _FILE_NORM_ATOL = 1e-6
 # A normalized vector has no real or imaginary part beyond this; the
@@ -105,7 +105,7 @@ def read_state_file(path: str) -> StateVector:
             )
         amps[k] = complex(real, imag)
 
-    norm = np.linalg.norm(amps)
+    norm = _norm(amps)
     if abs(norm - 1.0) > _FILE_NORM_ATOL:
         raise StateFileError(
             f"{path}: amplitudes have norm {norm:.9f}, further than {_FILE_NORM_ATOL} from 1"

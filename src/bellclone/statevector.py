@@ -15,7 +15,10 @@ qubits first.  Every caller array passes one intake check,
 _frozen_complex_array(), for its shape and finite entries, and a caller's
 StateVector or DensityMatrix passes all its checks.  A state built here from a
 fresh array takes _built(), which freezes the array uncopied and checks only a
-state vector's norm.  _NORM_ATOL is the one tolerance: traces and Born
+state vector's norm.  _norm() is the one norm, numpy.linalg's own sum of squares without
+its wrapper, so byte for byte the same: the norm check below 2**17 amplitudes, every
+renormalization (tensor(), post_state, identify()'s residual, a state file) and verify's
+readings take it.  _NORM_ATOL is the one tolerance: traces and Born
 probabilities are squared norms and take a bound derived from it, wide enough
 for any state the norm check accepts.  _evolve() is the one gate loop, on
 amplitudes as stored, for apply_circuit() and verify's gate checks; each gate
@@ -136,9 +139,15 @@ def _frozen_complex_array(values, shape: tuple[int, ...], what: str) -> np.ndarr
     return arr
 
 
+def _norm(amps: np.ndarray) -> float:
+    """numpy.linalg's norm of amps, byte for byte: its own formula, without its wrapper."""
+    x = amps.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _require_unit_norm(amps: np.ndarray) -> None:
     if amps.size < _SPLIT_MIN_SIZE:
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
     else:  # numpy's own loop: an unpinned OpenBLAS runs a dot this long on several threads
         parts = amps.view(np.float64)  # and leaves them spinning, on the CPU _split needs
         norm = math.sqrt(np.einsum("i,i->", parts, parts))
@@ -328,7 +337,7 @@ class MeasurementRecord:
         kept = _grouped(np.arange(2**n), n, self.measured_qubits)[int(self.outcome, 2)]
         projected = np.zeros_like(amps)
         projected[kept] = amps[kept]
-        return StateVector(n, projected / np.linalg.norm(projected))
+        return StateVector(n, projected / _norm(projected))
 
 
 def basis_state(bits: str) -> StateVector:
@@ -395,9 +404,10 @@ def _split(gate: Gate, views: tuple[np.ndarray, ...], slices: int) -> None:
     The cut runs along the first axis longer than 1 that the gate does not mix, one of
     its view's even axes: the leading one, then a CNOT's middle one, then the trailing one.
     """
-    shape = views[0].shape
-    axis = next((axis for axis in range(0, len(shape), 2) if shape[axis] > 1), None)
-    slices = 1 if axis is None else min(slices, shape[axis])
+    if slices > 1:
+        shape = views[0].shape
+        axis = next((axis for axis in range(0, len(shape), 2) if shape[axis] > 1), None)
+        slices = 1 if axis is None else min(slices, shape[axis])
     if slices < 2:
         _gate_on(gate, *views)
         return
@@ -442,7 +452,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     try:
         return _built(StateVector, a.num_qubits + b.num_qubits, product)
     except ValueError:  # two norms within the bound can multiply past it
-        return _built(StateVector, a.num_qubits + b.num_qubits, product / np.linalg.norm(product))
+        return _built(StateVector, a.num_qubits + b.num_qubits, product / _norm(product))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

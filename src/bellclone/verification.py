@@ -4,7 +4,12 @@ Each check exercises one library invariant and reports the largest deviation
 it observed next to the tolerance it is held to.  Randomized checks derive
 their generator from an explicit seed, so a given seed always produces the
 identical report.  Checks look the fixed circuits up in their home modules
-each time they run, so a circuit patched there is the one they check.
+each time they run, so a circuit patched there is the one they check; only the
+60 one-gate circuits of the kernel sweep, which no home module owns, are built
+once at import.  The states and projectors a check makes itself (random_state's
+states, the fidelity check's projectors, the Born probe and the no-cloning pairs)
+are fresh engine arrays and take statevector._built, a norm check only, not the
+public constructors' full intake.
 
 ``_CHECKS`` is the one list of checks, in report order, and ``_results`` the one escalation:
 a check that raises ``ValueError`` FAILs each of its lines at an infinite deviation, and the
@@ -73,7 +78,7 @@ def _max_abs(values) -> float:
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+    return statevector._built(StateVector, num_qubits, amps / statevector._norm(amps))
 
 
 def _random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
@@ -112,7 +117,7 @@ def check_gate_norm_preservation(seed: int) -> CheckResult:
         state = random_state(n, rng)
         gate = random_circuit(n, 1, rng).gates[0]
         out = statevector._evolve(state.amplitudes, (gate,))
-        norms.append(np.linalg.norm(out))
+        norms.append(statevector._norm(out))
     return CheckResult("gate-norm-preservation", EXACT_ATOL, _max_abs(np.subtract(norms, 1.0)))
 
 
@@ -126,7 +131,7 @@ def check_circuit_linearity(seed: int) -> CheckResult:
         u = random_state(n, rng).amplitudes
         raw = random_state(n, rng).amplitudes
         raw = raw - np.vdot(u, raw) * u
-        v = raw / np.linalg.norm(raw)
+        v = raw / statevector._norm(raw)
         phi = rng.uniform(0.0, math.pi / 2)
         alpha = math.cos(phi)
         beta = math.sin(phi) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
@@ -136,15 +141,24 @@ def check_circuit_linearity(seed: int) -> CheckResult:
     return CheckResult("circuit-linearity", COMPOSED_ATOL, _max_abs(residuals))
 
 
+# Every kind on every target, and CNOT on every pair, of 1 to 4 qubits.  Circuits are
+# immutable values, so this part of the sweep is built once at import.
+_ONE_GATE_CIRCUITS = tuple(
+    Circuit(n, (gate,))
+    for n in range(1, 5)
+    for t in range(n)
+    for gate in (
+        *(Gate(kind, t) for kind in ("hadamard", "pauli_x", "pauli_z")),
+        single_qubit(t, _SWEEP_MATRIX),
+        *(cnot(c, t) for c in range(n) if c != t),
+    )
+)
+
+
 def _sweep_circuits() -> list[Circuit]:
-    """One-gate circuits: every kind on every target, CNOT on every pair; then the fixed four."""
-    circuits = []
-    for n, t in ((n, t) for n in range(1, 5) for t in range(n)):
-        named = [Gate(kind, t) for kind in ("hadamard", "pauli_x", "pauli_z")]
-        gates = [*named, single_qubit(t, _SWEEP_MATRIX), *(cnot(c, t) for c in range(n) if c != t)]
-        circuits += [Circuit(n, (gate,)) for gate in gates]
+    """The one-gate circuits, then the fixed four, looked up in their home modules each run."""
     bell_pair = [bell.bell_encode_circuit(), bell.bell_decode_circuit()]
-    return circuits + bell_pair + [cloning.tag_circuit(), cloning.clone_circuit()]
+    return [*_ONE_GATE_CIRCUITS, *bell_pair, cloning.tag_circuit(), cloning.clone_circuit()]
 
 
 def check_kernel_against_dense() -> tuple[CheckResult, CheckResult]:
@@ -192,7 +206,8 @@ def check_born_statistics(seed: int) -> CheckResult:
     All 10,000 shots are drawn at once through cloning._readouts, identify's
     own readout, their variates drawn from default_rng((seed, 7)).
     """
-    pair = StateVector(2, (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2))
+    probe = (bell_state(0).amplitudes + bell_state(1).amplitudes) / math.sqrt(2)
+    pair = statevector._built(StateVector, 2, probe)
     state = cloning._joint(pair, cloning.tag_circuit())
     shots, _ = cloning._readouts(state, np.random.default_rng((seed, 7)).random(_BORN_SHOTS))
     counts = {format(o, "02b"): int(c) for o, c in enumerate(np.bincount(shots, minlength=4))}
@@ -229,7 +244,8 @@ def check_fidelity_conventions(seed: int) -> CheckResult:
         n = int(rng.integers(1, 4))
         psi = random_state(n, rng)
         phi = random_state(n, rng)
-        projector = DensityMatrix(n, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        projector = statevector._built(DensityMatrix, n, outer)
         readings.append(fidelity_mixed(projector, phi) - fidelity_pure(psi, phi))
     return CheckResult("fidelity-convention-agreement", EXACT_ATOL, _max_abs(readings))
 
@@ -332,7 +348,7 @@ def check_no_cloning_curve() -> CheckResult:
     b1 = bell_state(1).amplitudes
     readings = []
     for theta in np.linspace(0.0, math.pi / 2, _CURVE_POINTS + 2)[1:-1]:
-        pair = StateVector(2, math.cos(theta) * b0 + math.sin(theta) * b1)
+        pair = statevector._built(StateVector, 2, math.cos(theta) * b0 + math.sin(theta) * b1)
         expected = math.cos(theta) ** 4 + math.sin(theta) ** 4
         report = clone(pair)
         readings += [report.fidelity_original - expected, report.fidelity_clone - expected]

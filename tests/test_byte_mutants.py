@@ -1,0 +1,193 @@
+"""The engine's byte-identity tests, each shown to fail on the mutant it exists to catch.
+
+No verify check reads an operand order, a slice bound or an input layout, so _CASES in
+test_verification.py cannot show that these guards bite.  Each row here patches the
+engine with one small change, calls the named test, and expects it to fail.  A source
+row rewrites one snippet of a function's own source, so the row breaks loudly if that
+snippet changes.
+"""
+
+import __future__
+import inspect
+import textwrap
+from functools import partial
+
+import numpy as np
+import pytest
+
+from bellclone import StateVector, cloning, statevector
+
+import test_cli
+import test_statevector
+
+
+def _rewritten(function, old, new):
+    """``function`` compiled from its own source, with the one ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"{old!r} is not in {function.__name__} exactly once"
+    padding = "\n" * (function.__code__.co_firstlineno - 1)  # so tracebacks name its lines
+    code = compile(
+        padding + source.replace(old, new),
+        inspect.getsourcefile(function),
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = {}
+    exec(code, function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+def _source_mutant(function, old, new):
+    return statevector, function.__name__, _rewritten(function, old, new)
+
+
+def _joint_by_isometry(pair, circuit):
+    # The circuit's |a>|00> columns times the pair: the same state, not the same bytes.
+    isometry = statevector.circuit_unitary(circuit)[:, ::4]
+    return statevector._built(StateVector, 4, isometry @ pair.amplitudes)
+
+
+def _multiply_commutes() -> bool:
+    """Whether this host's complex multiply rounds c * v and v * c alike."""
+    rng = np.random.default_rng(0)
+    c, v = rng.normal(size=(2, 2, 256)) + 1j * rng.normal(size=(2, 2, 256))
+    return (c * v).tobytes() == (v * c).tobytes()
+
+
+def _example(test, *args, **example):
+    """One fixed example of a hypothesis test: it fails or passes the same way every run."""
+    return partial(test.hypothesis.inner_test, *args, **example)
+
+
+_PARTS = [tuple(part) for part in np.random.default_rng(0).uniform(-1, 1, (64, 2)).tolist()]
+_CIRCUIT = {"n": 4, "depth": 12, "seed": 0, "parts": _PARTS}
+_PLAN = _example(
+    test_statevector.TestGatherPlan.test_the_plan_gives_the_gate_loops_bytes,
+    test_statevector.TestGatherPlan(),
+    **_CIRCUIT,
+)
+_LAYOUT = _example(
+    test_statevector.TestApplyCircuit.test_every_layout_gives_the_same_bytes,
+    test_statevector.TestApplyCircuit(),
+    **_CIRCUIT,
+)
+_NORM = _example(
+    test_statevector.test_one_norm_gives_numpys_bytes, size=4096, seed=0, exponent=0, zeros=0.5
+)
+_ANY_CUT = _example(
+    test_statevector.TestSplitGates.test_any_cut_gives_the_inline_bytes,
+    test_statevector.TestSplitGates(),
+    n=6,
+    batch=3,
+    depth=12,
+    slices=3,
+    seed=0,
+)
+_WIDE_CUT = partial(
+    test_statevector.TestSplitGates().test_a_wide_state_splits_every_placement_byte_for_byte, 2
+)
+_WIDE_NORM = partial(
+    test_statevector.test_a_wide_state_meets_the_same_norm_bound, scale=1 + 5e-13, accepted=True
+)
+_GENERIC_GOLDEN = partial(test_cli.test_report_bytes_are_pinned, "clone --state @generic")
+
+# (label, (module, name, replacement), the tests it fails, the exception each raises)
+_BYTE_MUTANTS = [
+    (
+        "planned-operands-swapped",
+        _source_mutant(
+            statevector._planned, "coefficients * amps[indices]", "amps[indices] * coefficients"
+        ),
+        [_PLAN],
+        AssertionError,
+    ),
+    (
+        "split-slices-end-early",
+        _source_mutant(statevector._split, "slice(lo, hi)", "slice(lo, hi - 1)"),
+        [_ANY_CUT, _WIDE_CUT],
+        AssertionError,
+    ),
+    (
+        "split-slices-start-late",
+        _source_mutant(statevector._split, "slice(lo, hi)", "slice(lo + 1, hi)"),
+        [_ANY_CUT, _WIDE_CUT],
+        AssertionError,
+    ),
+    # A cut across the gate's own 2-axis leaves each slice one half: numpy cannot broadcast.
+    (
+        "split-along-a-gate-axis",
+        _source_mutant(statevector._split, "range(0, len(shape), 2)", "range(1, len(shape), 2)"),
+        [_WIDE_CUT],
+        ValueError,
+    ),
+    (
+        "norm-of-real-parts",
+        _source_mutant(
+            statevector._norm, "x.real.dot(x.real) + x.imag.dot(x.imag)", "x.real.dot(x.real)"
+        ),
+        [_NORM],
+        AssertionError,
+    ),
+    # The wide state's norm then reads about sqrt(1/2), and the norm check rejects it.
+    (
+        "wide-norm-of-real-parts",
+        _source_mutant(
+            statevector._require_unit_norm, "parts, parts)", "parts[::2], parts[::2])"
+        ),
+        [_WIDE_NORM],
+        ValueError,
+    ),
+    (
+        "evolve-reads-c-strides",
+        _source_mutant(
+            statevector._evolve,
+            'out = np.empty_like(view, order="C")',
+            'out = np.empty_like(view, order="C"); '
+            "view = np.lib.stride_tricks.as_strided(view, strides=out.strides)",
+        ),
+        [_LAYOUT],
+        AssertionError,
+    ),
+    (
+        "evolve-returns-flat",
+        _source_mutant(statevector._evolve, "\n    return view\n", "\n    return view.ravel()\n"),
+        [_LAYOUT],
+        AssertionError,
+    ),
+    (
+        "joint-by-isometry",
+        (cloning, "_joint", _joint_by_isometry),
+        [_GENERIC_GOLDEN],
+        pytest.fail.Exception,
+    ),
+]
+
+
+_GUARDS = {test for _, _, tests, _ in _BYTE_MUTANTS for test in tests}
+
+
+@pytest.mark.parametrize(
+    "mutant, test, raises",
+    [
+        pytest.param(mutant, test, raises, id=f"{label}-{test.func.__name__}")
+        for label, mutant, tests, raises in _BYTE_MUTANTS
+        for test in tests
+    ],
+)
+def test_a_byte_mutant_fails_its_guard(mutant, test, raises, monkeypatch):
+    module, name, replacement = mutant
+    if name == "_planned" and _multiply_commutes():
+        pytest.skip("this host's complex multiply rounds both operand orders alike")
+    monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(raises):
+        test()
+
+
+def test_every_guard_passes_on_the_engine_recompiled_unchanged(monkeypatch):
+    # So each row's failure is its mutant's: neither the example nor the rewriting fails.
+    for module, name in {mutant[:2] for _, mutant, _, _ in _BYTE_MUTANTS}:
+        same = _rewritten(getattr(module, name), f"def {name}(", f"def {name}(")
+        monkeypatch.setattr(module, name, same)
+    for test in _GUARDS:
+        test()

@@ -988,3 +988,35 @@ def test_a_wide_state_meets_the_same_norm_bound(scale, accepted):
     amps[5] = np.nan
     with pytest.raises(ValueError, match="not normalized"):
         statevector._require_unit_norm(amps)
+
+
+def _same_norm_bytes(x):
+    with np.errstate(over="ignore"):  # a sum of squares past overflow is inf on both sides
+        return np.float64(statevector._norm(x)).tobytes() == np.linalg.norm(x).tobytes()
+
+
+@given(
+    size=st.integers(1, 4096),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.sampled_from([-320, -300, -160, -1, 0, 1, 150, 154, 160, 300, 307]),
+    zeros=st.floats(0.0, 1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_one_norm_gives_numpys_bytes(size, seed, exponent, zeros):
+    # Every norm in the engine is _norm: numpy's sum of squares without its wrapper.  Its
+    # bytes hold on contiguous and strided vectors and on a row of a grouped view, with
+    # exact zeros, subnormal parts and squares past overflow.
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, size)) * 10.0**exponent * (rng.random((2, size)) >= zeros)
+    x = parts[0] + 1j * parts[1]
+    n = size.bit_length() - 1
+    qubits = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
+    grouped = statevector._grouped(x[: 2**n], n, qubits).T[:, -1]
+    for layout in (x, x[::2], grouped):
+        assert _same_norm_bytes(layout)
+
+
+def test_one_norm_gives_numpys_bytes_on_a_wide_state():
+    amps = random_state(17, np.random.default_rng(17)).amplitudes * 3.0
+    assert amps.size == statevector._SPLIT_MIN_SIZE
+    assert _same_norm_bytes(amps)

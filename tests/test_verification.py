@@ -316,7 +316,8 @@ def test_sweep_covers_every_gate_and_pair_then_the_fixed_circuits():
 
 def test_the_sweep_builds_no_states(monkeypatch):
     # The gate checks run _evolve on bare arrays: no basis column or result becomes a
-    # StateVector, and gate-norm and linearity build only their random_state inputs.
+    # StateVector, and gate-norm and linearity build only their random_state inputs, each
+    # a fresh engine-made array that takes _built, not the public constructor.
     calls = Counter()
     built, post_init = statevector._built, StateVector.__post_init__
 
@@ -336,7 +337,22 @@ def test_the_sweep_builds_no_states(monkeypatch):
         calls.clear()
         _run(check)
         counts.append(dict(calls))
-    assert counts == [{"__post_init__": 50}, {"__post_init__": 40}, {}]
+    assert counts == [{"_built": 50}, {"_built": 40}, {}]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_state_keeps_the_public_constructors_bytes(seed):
+    # random_state takes _built and _norm; its states and draws stay those of
+    # StateVector(n, amps / np.linalg.norm(amps)).
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in range(1, 5):
+        amps = reference.normal(size=2**n) + 1j * reference.normal(size=2**n)
+        expected = StateVector(n, amps / np.linalg.norm(amps)).amplitudes
+        state = verification.random_state(n, rng)
+        assert state.num_qubits == n
+        assert state.amplitudes.tobytes() == expected.tobytes()
+        assert not state.amplitudes.flags.writeable
+    assert rng.random() == reference.random()
 
 
 def test_sweep_matrix_is_changed_by_transpose_and_conjugation():
