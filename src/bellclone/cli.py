@@ -21,7 +21,7 @@ from .bell import bell_decode_circuit, bell_encode_circuit, bell_state
 from .cloning import UCM_REFERENCE, clone, clone_circuit, identify, tag_circuit
 from .statevector import StateVector, circuit_unitary
 from .stateio import StateFileError, read_state_file
-from .verification import run_all_checks
+from .verification import run_timed_checks
 
 _DEMO_FIDELITY_FLOOR = 1.0 - 1e-9
 
@@ -103,7 +103,8 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all_checks(args.seed)
+    timed = run_timed_checks(args.seed)
+    results = [result for _, entry in timed for result in entry]
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         line = (
@@ -115,6 +116,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} checks passed")
+    if args.timings:
+        for seconds, entry in timed:
+            print(f"time {entry[0].name} {seconds * 1e3:.3f} ms", file=sys.stderr)
+        print(f"time total {sum(seconds for seconds, _ in timed) * 1e3:.3f} ms", file=sys.stderr)
     return 0 if passed == len(results) else 1
 
 
@@ -163,6 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
     verify.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+    verify.add_argument("--timings", action="store_true", help="print each check's time on stderr")
     verify.set_defaults(handler=_cmd_verify)
 
     matrix = sub.add_parser("matrix", help="dump a named circuit's dense unitary")

@@ -9,16 +9,20 @@ each time they run, so a circuit patched there is the one they check; only the
 once at import.  The states and projectors a check makes itself (random_state's
 states, the fidelity check's projectors, the Born probe and the no-cloning pairs)
 are fresh engine arrays and take statevector._built, a norm check only, not the
-public constructors' full intake.
+public constructors' full intake.  The two randomized gate checks make every draw of
+every round first, in random_circuit's order, then build all their 2x2 unitaries with
+one stacked QR; the bytes are those of one QR per gate.
 
 ``_CHECKS`` is the one list of checks, in report order, and ``_results`` the one escalation:
 a check that raises ``ValueError`` FAILs each of its lines at an infinite deviation, and the
-other checks still run.  Every floating-point reading folds through ``_max_abs``.
+other checks still run; ``run_timed_checks`` times each entry.  Every floating-point reading
+folds through ``_max_abs``.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,57 +81,93 @@ def _max_abs(values) -> float:
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
-    amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-    return statevector._built(StateVector, num_qubits, amps / statevector._norm(amps))
+    size = 2**num_qubits
+    amps = np.empty(size, dtype=complex)
+    amps.real, amps.imag = rng.normal(size=size), rng.normal(size=size)
+    amps /= statevector._norm(amps)
+    return statevector._built(StateVector, num_qubits, amps)
 
 
-def _random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+_KINDS = ("hadamard", "pauli_x", "pauli_z", "single_qubit", "cnot")
 
 
-def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Circuit:
-    """Random circuit drawing uniformly from the supported gate kinds."""
-    gates: list[Gate] = []
-    kinds = ["hadamard", "pauli_x", "pauli_z", "single_qubit"]
-    if num_qubits >= 2:
-        kinds.append("cnot")
+def _drawn_gates(num_qubits: int, depth: int, rng: np.random.Generator) -> tuple[int, list]:
+    """One random circuit's draws, made in random_circuit's order: the kind, then the target
+    or the control/target pair, then a single_qubit's raw complex Gaussian 2x2.
+
+    Each gate is (kind, qubits, raw), raw None for all but single_qubit; _built_circuits
+    turns the draws into gates.
+    """
+    kinds = _KINDS if num_qubits >= 2 else _KINDS[:-1]
+    gates = []
     for _ in range(depth):
         kind = kinds[rng.integers(len(kinds))]
         if kind == "cnot":
             control, target = rng.choice(num_qubits, size=2, replace=False)
-            gates.append(cnot(int(control), int(target)))
+            gates.append((kind, (int(control), int(target)), None))
             continue
         target = int(rng.integers(num_qubits))
+        raw = None
         if kind == "single_qubit":
-            gates.append(single_qubit(target, _random_unitary_2x2(rng)))
-        else:
-            gates.append(Gate(kind, target))
-    return Circuit(num_qubits, tuple(gates))
+            raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        gates.append((kind, (target,), raw))
+    return num_qubits, gates
+
+
+def _built_circuits(drawn: list[tuple[int, list]]) -> list[Circuit]:
+    """The circuits of _drawn_gates' draws, every raw 2x2 made unitary by one stacked QR.
+
+    Mezzadri's recipe (Notices AMS 54, 592, 2007): Q of a complex Gaussian matrix, each
+    column times the phase of R's diagonal entry, is Haar-distributed.  numpy runs the same
+    LAPACK call on each matrix of a stack, so the bytes are those of one QR per matrix.
+    """
+    raws = [raw for _, gates in drawn for _, _, raw in gates if raw is not None]
+    unitaries = iter(())
+    if raws:
+        q, r = np.linalg.qr(np.stack(raws))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        unitaries = iter(q * (d / abs(d))[..., None, :])
+    circuits = []
+    for num_qubits, gates in drawn:
+        made = []
+        for kind, qubits, raw in gates:
+            if kind == "cnot":
+                made.append(cnot(*qubits))
+            elif raw is not None:
+                made.append(single_qubit(*qubits, next(unitaries)))
+            else:
+                made.append(Gate(kind, *qubits))
+        circuits.append(Circuit(num_qubits, tuple(made)))
+    return circuits
+
+
+def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Circuit:
+    """Random circuit drawing uniformly from the supported gate kinds."""
+    return _built_circuits([_drawn_gates(num_qubits, depth, rng)])[0]
 
 
 def check_gate_norm_preservation(seed: int) -> CheckResult:
     """One gate, run by statevector._evolve on a bare state, keeps the norm at 1."""
     rng = np.random.default_rng((seed, 1))
-    norms = []
+    states, drawn = [], []
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        state = random_state(n, rng)
-        gate = random_circuit(n, 1, rng).gates[0]
-        out = statevector._evolve(state.amplitudes, (gate,))
-        norms.append(statevector._norm(out))
+        states.append(random_state(n, rng).amplitudes)
+        drawn.append(_drawn_gates(n, 1, rng))
+    norms = [
+        statevector._norm(statevector._evolve(amps, circuit.gates))
+        for amps, circuit in zip(states, _built_circuits(drawn))
+    ]
     return CheckResult("gate-norm-preservation", EXACT_ATOL, _max_abs(np.subtract(norms, 1.0)))
 
 
 def check_circuit_linearity(seed: int) -> CheckResult:
     """Orthogonal u, v and alpha*u + beta*v, one bare batch for _evolve, stay linearly related."""
     rng = np.random.default_rng((seed, 2))
-    residuals = []
+    drawn, rounds = [], []
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        circuit = random_circuit(n, int(rng.integers(1, 13)), rng)
+        drawn.append(_drawn_gates(n, int(rng.integers(1, 13)), rng))
         u = random_state(n, rng).amplitudes
         raw = random_state(n, rng).amplitudes
         raw = raw - np.vdot(u, raw) * u
@@ -135,7 +175,9 @@ def check_circuit_linearity(seed: int) -> CheckResult:
         phi = rng.uniform(0.0, math.pi / 2)
         alpha = math.cos(phi)
         beta = math.sin(phi) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
-        batch = np.stack((u, v, alpha * u + beta * v), axis=-1)
+        rounds.append((np.stack((u, v, alpha * u + beta * v), axis=-1), alpha, beta))
+    residuals = []
+    for (batch, alpha, beta), circuit in zip(rounds, _built_circuits(drawn)):
         out = statevector._evolve(batch, circuit.gates)
         residuals.append(_max_abs(out[:, 2] - (alpha * out[:, 0] + beta * out[:, 1])))
     return CheckResult("circuit-linearity", COMPOSED_ATOL, _max_abs(residuals))
@@ -168,10 +210,11 @@ def check_kernel_against_dense() -> tuple[CheckResult, CheckResult]:
     statevector._evolve on the identity's columns as a bare batch, held to circuit_unitary.
     Both routes are linear in the state, so that covers every input; a NaN reading fails.
     """
+    circuits = _sweep_circuits()
+    identities = {n: np.eye(2**n, dtype=complex) for n in {c.num_qubits for c in circuits}}
     agreement, unitarity = [], []
-    for circuit in _sweep_circuits():
-        n, unitary = circuit.num_qubits, circuit_unitary(circuit)
-        identity = np.eye(2**n, dtype=complex)
+    for circuit in circuits:
+        unitary, identity = circuit_unitary(circuit), identities[circuit.num_qubits]
         agreement.append(_max_abs(statevector._evolve(identity, circuit.gates) - unitary))
         unitarity.append(_max_abs(unitary.conj().T @ unitary - identity))
     return (
@@ -403,6 +446,16 @@ def _results(names, check, seeded: bool, seed: int) -> list[CheckResult]:
     return [results] if isinstance(results, CheckResult) else list(results)
 
 
+def run_timed_checks(seed: int = 0) -> list[tuple[float, list[CheckResult]]]:
+    """Each _CHECKS entry's wall time in seconds and its results, in report order."""
+    timed = []
+    for entry in _CHECKS:
+        start = time.perf_counter()
+        results = _results(*entry, seed)
+        timed.append((time.perf_counter() - start, results))
+    return timed
+
+
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
     """Every invariant check, in a fixed order, deterministic for a given seed."""
-    return [result for entry in _CHECKS for result in _results(*entry, seed)]
+    return [result for _, results in run_timed_checks(seed) for result in results]

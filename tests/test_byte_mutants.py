@@ -1,10 +1,10 @@
 """The engine's byte-identity tests, each shown to fail on the mutant it exists to catch.
 
-No verify check reads an operand order, a slice bound or an input layout, so _CASES in
-test_verification.py cannot show that these guards bite.  Each row here patches the
-engine with one small change, calls the named test, and expects it to fail.  A source
-row rewrites one snippet of a function's own source, so the row breaks loudly if that
-snippet changes.
+No verify check reads an operand order, a slice bound, an input layout or the axis of
+random_circuit's phase fix, so _CASES in test_verification.py cannot show that these
+guards bite.  Each row here patches the engine, or random_circuit's builder, with one
+small change, calls the named test, and expects it to fail.  A source row rewrites one
+snippet of a function's own source, so the row breaks loudly if that snippet changes.
 """
 
 import __future__
@@ -15,10 +15,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bellclone import StateVector, cloning, statevector
+from bellclone import StateVector, cloning, statevector, verification
 
 import test_cli
 import test_statevector
+import test_verification
 
 
 def _rewritten(function, old, new):
@@ -39,7 +40,7 @@ def _rewritten(function, old, new):
 
 
 def _source_mutant(function, old, new):
-    return statevector, function.__name__, _rewritten(function, old, new)
+    return inspect.getmodule(function), function.__name__, _rewritten(function, old, new)
 
 
 def _joint_by_isometry(pair, circuit):
@@ -89,6 +90,9 @@ _WIDE_CUT = partial(
 )
 _WIDE_NORM = partial(
     test_statevector.test_a_wide_state_meets_the_same_norm_bound, scale=1 + 5e-13, accepted=True
+)
+_PER_GATE_QR = _example(
+    test_verification.test_random_circuit_keeps_the_per_gate_qr_bytes, n=4, depth=12, seed=0
 )
 _GENERIC_GOLDEN = partial(test_cli.test_report_bytes_are_pinned, "clone --state @generic")
 
@@ -153,6 +157,13 @@ _BYTE_MUTANTS = [
         "evolve-returns-flat",
         _source_mutant(statevector._evolve, "\n    return view\n", "\n    return view.ravel()\n"),
         [_LAYOUT],
+        AssertionError,
+    ),
+    # Each row of Q times a phase of R's diagonal: unitary still, but not Q's bytes.
+    (
+        "qr-phases-along-rows",
+        _source_mutant(verification._built_circuits, "[..., None, :]", "[..., :, None]"),
+        [_PER_GATE_QR],
         AssertionError,
     ),
     (

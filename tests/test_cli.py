@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bellclone import bell_state, cli, clone, identify, statevector
+from bellclone import bell_state, cli, clone, identify, statevector, verification
 
 from oracles import BELL_AMPLITUDES, SQRT_HALF
 
@@ -282,6 +282,30 @@ class TestVerify:
         proc = run_in_process("verify", "--seed", seed)
         assert proc.returncode == 0
         assert_matches_golden(f"verify --seed {seed}", proc.stdout)
+        assert proc.stderr == ""
+
+    def test_timings_go_to_stderr_and_leave_stdout_alone(self):
+        proc = run_in_process("verify", "--seed", "1", "--timings")
+        assert proc.returncode == 0
+        assert_matches_golden("verify --seed 1", proc.stdout)
+        *lines, total = [line.split() for line in proc.stderr.splitlines()]
+        names = [check_names[0] for check_names, _, _ in verification._CHECKS]
+        assert [line[1] for line in lines] == names
+        assert all(line[0] == "time" and line[3] == "ms" for line in [*lines, total])
+        assert total[:2] == ["time", "total"]
+        assert float(total[2]) == pytest.approx(sum(float(line[2]) for line in lines), abs=0.05)
+
+    def test_timings_keep_the_failing_exit_code(self, monkeypatch):
+        monkeypatch.setattr(verification, "EXACT_ATOL", -1.0)
+        plain, timed = run_in_process("verify"), run_in_process("verify", "--timings")
+        assert plain.returncode == timed.returncode == 1
+        assert plain.stdout == timed.stdout
+
+    def test_timings_take_no_value(self):
+        proc = run_in_process("verify", "--timings=1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--timings" in proc.stderr
 
 
 # "@name" is the committed input file tests/golden/state-<name>.txt: Bell state 1, the
@@ -447,7 +471,7 @@ def test_clone_exits_0_or_2_on_arbitrary_file_bytes(tmp_path_factory, data):
 # verify runs for a few tenths of a second, so it is drawn one time in sixteen.
 _COMMANDS = st.sampled_from([*["demo", "clone", "matrix", None, "--help"] * 3, "verify"])
 _WORDS = st.sampled_from(
-    ["demo", "clone", "verify", "matrix", "--help", "-h", "encode", "tgp", ""]
+    ["demo", "clone", "verify", "matrix", "--help", "-h", "--timings", "encode", "tgp", ""]
 )
 _VALUES = st.sampled_from(["0", "3", "-1", "4", "json", "plain", "@bell", "@missing", "@dir"])
 # An OS argv cannot carry NUL, so no drawn argument holds one.
@@ -477,6 +501,7 @@ def argv_paths(tmp_path_factory):
 @example(argv=["demo", "--seed", "-1"])
 @example(argv=["matrix", "tgp"])
 @example(argv=["verify", "--seed", "1"])
+@example(argv=["verify", "--timings"])
 def test_any_argv_exits_0_1_or_2_without_a_traceback(argv_paths, argv):
     argv = [argv_paths.get(token, token) for token in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -489,7 +514,8 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(argv_paths, argv):
                 code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if code == 0:
-        assert err.getvalue() == ""
+    if code == 0:  # only verify --timings writes to stderr on success, and only its times
+        timings = "--timings" in argv and argv[0] == "verify"
+        assert all(timings and line.startswith("time ") for line in err.getvalue().splitlines())
     if code == 2:
         assert err.getvalue() != ""

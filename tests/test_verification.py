@@ -2,9 +2,12 @@ import math
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellclone import (
     BELL_INDICES,
@@ -51,6 +54,7 @@ from bellclone.verification import (
     check_partial_trace_product,
     check_tag_subspace_action,
     check_transform_unitarity,
+    random_circuit,
     run_all_checks,
 )
 
@@ -353,6 +357,64 @@ def test_random_state_keeps_the_public_constructors_bytes(seed):
         assert state.amplitudes.tobytes() == expected.tobytes()
         assert not state.amplitudes.flags.writeable
     assert rng.random() == reference.random()
+
+
+def _per_gate_qr_gates(n, depth, rng):
+    """random_circuit's (kind, target, control, matrix) per gate, one QR per single_qubit."""
+    kinds = ["hadamard", "pauli_x", "pauli_z", "single_qubit"] + ["cnot"] * (n >= 2)
+    gates = []
+    for _ in range(depth):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == "cnot":
+            control, target = rng.choice(n, size=2, replace=False)
+            gates.append((kind, int(target), int(control), None))
+            continue
+        target, matrix = int(rng.integers(n)), None
+        if kind == "single_qubit":
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            matrix = (q * (np.diagonal(r) / np.abs(np.diagonal(r)))).tobytes()
+        gates.append((kind, target, None, matrix))
+    return gates
+
+
+@given(n=st.integers(1, 4), depth=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+@example(n=1, depth=0, seed=0)
+@example(n=2, depth=4, seed=0)  # a CNOT, X and two Hadamards: no single_qubit gate
+def test_random_circuit_keeps_the_per_gate_qr_bytes(n, depth, seed):
+    # The draws come first and one stacked QR builds every matrix; the gates, their
+    # matrices' bytes and the generator's next draw stay those of one QR per gate, and a
+    # circuit with no single_qubit gate makes no QR call.
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _per_gate_qr_gates(n, depth, reference)
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        circuit = random_circuit(n, depth, rng)
+    made = [
+        (g.kind, g.target, g.control, g.matrix.tobytes() if g.kind == "single_qubit" else None)
+        for g in circuit.gates
+    ]
+    assert circuit.num_qubits == n
+    assert made == expected
+    assert qr.call_count == any(gate[0] == "single_qubit" for gate in expected)
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_randomized_gate_check_makes_one_qr_call(seed, monkeypatch):
+    stacks, qr = [], np.linalg.qr
+
+    def counting_qr(a):
+        stacks.append(a.shape)
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    for check in (check_gate_norm_preservation, check_circuit_linearity):
+        stacks.clear()
+        assert check(seed).passed
+        assert len(stacks) == 1 and stacks[0][1:] == (2, 2) and stacks[0][0] > 1
+    stacks.clear()
+    run_all_checks(seed)
+    assert len(stacks) == 2
 
 
 def test_sweep_matrix_is_changed_by_transpose_and_conjugation():
