@@ -68,7 +68,7 @@ def bell_index_of(state: StateVector) -> int | None:
     """Index of the Bell state this two-qubit state equals up to global phase, else None."""
     if state.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {state.num_qubits} qubits")
-    for index in BELL_INDICES:
-        if fidelity_pure(state, bell_state(index)) > _BELL_MATCH_THRESHOLD:
+    for index, bell in _BELL_STATES.items():
+        if fidelity_pure(state, bell) > _BELL_MATCH_THRESHOLD:
             return index
     return None

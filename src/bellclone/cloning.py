@@ -6,10 +6,13 @@ element of index i, the transform writes bin(i) onto the ancillas and returns
 the pair unchanged.  Measuring the ancillas therefore identifies the pair
 without disturbing it, and re-encoding the ancillas produces a second copy.
 identify() is two steps: _joint() runs the transform's cached gather plan on the
-bare product of the pair and |00>, which keeps the pair's norm, and builds one
-state; _readouts() draws the ancilla outcome per uniform variate and builds one
-result per outcome drawn; verify's Born and nondisturbance checks draw through it
-too.  clone() also uses _joint().
+bare product of the pair and |00>, which keeps the pair's norm, and returns the
+register's bare amplitudes; _readouts() gathers their ancilla rows, draws the
+outcome per uniform variate and builds one result per outcome drawn; verify's
+Born and nondisturbance checks draw through it too.  clone() also uses _joint(),
+builds the register it returns, and reduces its two gathered row blocks through
+statevector's _traced().  A call builds only the states it returns: the register
+stays bare in identify(), and the groupings it is read by are compiled at import.
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
 superposition of Bell states the transform entangles pair and ancillas and the
@@ -28,15 +31,14 @@ from .statevector import (
     _draw,
     _grouped,
     _norm,
-    _outcome_marginal,
     _planned,
+    _traced,
     Circuit,
     StateVector,
     basis_state,
     cnot,
     fidelity_mixed,
     hadamard,
-    partial_trace,
 )
 
 # Bužek–Hillery bound: the best 1->2 clone fidelity a universal machine
@@ -86,6 +88,12 @@ _TAG = Circuit(
 _CLONE = Circuit(4, _TAG.gates + (hadamard(2), cnot(2, 3)))
 _ANCILLAS = basis_state("00")
 _ANCILLA_QUBITS = (2, 3)
+# The register's amplitude indices, grouped as _grouped groups the amplitudes themselves:
+# row k of each gathers the amplitudes whose pair, or whose ancillas, read k.
+_PAIR_ROWS = _grouped(np.arange(16), 4, (0, 1))
+_ANCILLA_ROWS = _grouped(np.arange(16), 4, _ANCILLA_QUBITS)
+for _rows in (_PAIR_ROWS, _ANCILLA_ROWS):
+    _rows.setflags(write=False)
 
 
 def tag_circuit() -> Circuit:
@@ -103,18 +111,19 @@ def clone_circuit() -> Circuit:
     return _CLONE
 
 
-def _joint(pair: StateVector, circuit: Circuit) -> StateVector:
-    """The pair on (0, 1) with |00> ancillas on (2, 3), after ``circuit``'s plan: one state."""
+def _joint(pair: StateVector, circuit: Circuit) -> np.ndarray:
+    """The pair on (0, 1) with |00> ancillas on (2, 3), after ``circuit``'s plan: bare."""
     if pair.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit pair, got {pair.num_qubits} qubits")
     product = (pair.amplitudes[:, None] * _ANCILLAS.amplitudes[None, :]).reshape(-1)
-    return _built(StateVector, 4, _planned(product, circuit))
+    return _planned(product, circuit)
 
 
-def _readouts(joint: StateVector, variates: np.ndarray | list) -> tuple[np.ndarray, dict]:
-    """The one ancilla readout: (outcome drawn per uniform variate, {outcome: its result})."""
-    marginal = _outcome_marginal(joint, _ANCILLA_QUBITS)
-    rows = _grouped(joint.amplitudes, 4, _ANCILLA_QUBITS)
+def _readouts(amps: np.ndarray, variates: np.ndarray | list) -> tuple[np.ndarray, dict]:
+    """The one ancilla readout of the register's amplitudes: (outcome drawn per uniform
+    variate, {outcome: its result})."""
+    rows = amps[_ANCILLA_ROWS]
+    marginal = (np.abs(rows) ** 2).sum(axis=1)  # _outcome_marginal's values and layout
     drawn = _draw(marginal, variates)
     results = {}
     for i in np.bincount(drawn, minlength=marginal.size).nonzero()[0].tolist():
@@ -143,14 +152,13 @@ def clone(pair: StateVector) -> CloneReport:
     Reduced states are compared rather than the joint vector so the report is
     honest on superposition inputs, where the two pairs come out entangled.
     """
-    joint = _joint(pair, clone_circuit())
-    original = partial_trace(joint, (0, 1))
-    copy = partial_trace(joint, _ANCILLA_QUBITS)
+    amps = _joint(pair, clone_circuit())
+    joint = _built(StateVector, 4, amps)
     index = bell_index_of(pair)
     return CloneReport(
         input_label="superposition" if index is None else str(index),
         joint_state=joint,
-        fidelity_original=fidelity_mixed(original, pair),
-        fidelity_clone=fidelity_mixed(copy, pair),
+        fidelity_original=fidelity_mixed(_traced(amps[_PAIR_ROWS], 2), pair),
+        fidelity_clone=fidelity_mixed(_traced(amps[_ANCILLA_ROWS], 2), pair),
         ucm_reference=UCM_REFERENCE,
     )

@@ -9,9 +9,11 @@ never mutated and stored arrays are frozen.  Gates, measurement and partial
 trace index the amplitudes through reshaped views of the stored vector; the
 only dense-matrix code path is circuit_unitary(), kept separate so it can serve
 as an independent cross-check of the gate loop.  _grouped() is the one
-projection helper: partial_trace(), the Born marginal, a record's post_state
-and identify()'s residual pair all take the rows it makes by moving a group of
-qubits first.  Every caller array passes one intake check,
+projection helper: partial_trace(), the Born marginal and a record's post_state
+take the rows it makes by moving a group of qubits first, and cloning gathers its
+register's rows by the two index groupings it compiles through it at import.
+_traced() is the one reduction of such rows, for partial_trace() and clone().
+Every caller array passes one intake check,
 _frozen_complex_array(), for its shape and finite entries, and a caller's
 StateVector or DensityMatrix passes all its checks.  A state built here from a
 fresh array takes _built(), which freezes the array uncopied and checks only a
@@ -31,7 +33,8 @@ one usable CPU, starts no thread, and a forked child drops the pool it inherits,
 thread did not survive the fork.  On as many amplitudes the norm check sums by einsum, not
 by a BLAS dot, whose threads an unpinned OpenBLAS leaves spinning on the CPU the other half
 needs.  cloning's _joint() runs _planned(), the gather plan a Circuit compiles once, on its
-4-qubit register only; the tests hold it byte for byte to that loop on 1 to 6 qubits.
+4-qubit register only, and leaves the register bare; the tests hold it byte for byte to that
+loop on 1 to 6, 13 and 14 qubits.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
@@ -423,11 +426,13 @@ def _split(gate: Gate, views: tuple[np.ndarray, ...], slices: int) -> None:
 def _planned(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
     """_evolve's products, matrix entry first, and sums on one flat state, by the circuit's
     cached plan: compiling one costs more than an _evolve run, so it serves one fixed register,
-    cloning's 4 qubits.  Tested byte-equal to _evolve on 1-6 qubits; on 13 or more the last
-    bit has differed."""
+    cloning's 4 qubits.  Tested byte-equal to _evolve on 1-6, 13 and 14 qubits.  The product
+    is a ufunc call, not ``*``: once the gathered temporary reaches 256 KiB (13 qubits),
+    numpy elides ``c * amps[i]`` into an in-place ``amps[i] *= c``, and complex multiply
+    rounds the swapped operands apart."""
     steps, gather = circuit._plan
     for coefficients, indices in steps:
-        products = coefficients * amps[indices]
+        products = np.multiply(coefficients, amps[indices])
         amps = products[0] + products[1]
     return amps[gather]
 
@@ -482,12 +487,16 @@ def _checked_qubits(num_qubits: int, qubits: Sequence[int]) -> list[int]:
     return qubits
 
 
+def _traced(rows: np.ndarray, num_qubits: int) -> DensityMatrix:
+    """The reduced state of _grouped's rows over ``num_qubits`` kept qubits: rows @ rows^H."""
+    return _built(DensityMatrix, num_qubits, rows @ rows.conj().T)
+
+
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (in the given order), tracing out the rest."""
     n = state.num_qubits
     keep = _checked_qubits(n, keep)
-    rows = _grouped(state.amplitudes, n, keep)
-    return _built(DensityMatrix, len(keep), rows @ rows.conj().T)
+    return _traced(_grouped(state.amplitudes, n, keep), len(keep))
 
 
 def fidelity_mixed(rho: DensityMatrix, psi: StateVector) -> float:

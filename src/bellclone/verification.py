@@ -333,7 +333,7 @@ def check_tag_subspace_action() -> CheckResult:
     for i in BELL_INDICES:
         out = cloning._joint(bell_state(i), circuit)
         expected = np.kron(bell_state(i).amplitudes, basis_state(origin_bits(i)).amplitudes)
-        readings.append(_max_abs(out.amplitudes - expected))
+        readings.append(_max_abs(out - expected))
     return CheckResult("tag-subspace-action", EXACT_ATOL, _max_abs(readings))
 
 
@@ -344,7 +344,7 @@ def check_exact_cloning() -> CheckResult:
     for i in BELL_INDICES:
         out = cloning._joint(bell_state(i), circuit)
         expected = np.kron(bell_state(i).amplitudes, bell_state(i).amplitudes)
-        readings.append(_max_abs(out.amplitudes - expected))
+        readings.append(_max_abs(out - expected))
     return CheckResult("exact-cloning", EXACT_ATOL, _max_abs(readings))
 
 
@@ -353,7 +353,7 @@ def check_identification_point_mass() -> CheckResult:
     circuit = cloning.tag_circuit()
     readings = []
     for i in BELL_INDICES:
-        tagged = cloning._joint(bell_state(i), circuit)
+        tagged = statevector._built(StateVector, 4, cloning._joint(bell_state(i), circuit))
         dist = measurement_distribution(tagged, _ANCILLA_QUBITS)
         readings += [prob - float(bits == origin_bits(i)) for bits, prob in dist.items()]
     return CheckResult("identification-point-mass", EXACT_ATOL, _max_abs(readings))

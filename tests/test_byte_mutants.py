@@ -1,9 +1,10 @@
 """The engine's byte-identity tests, each shown to fail on the mutant it exists to catch.
 
-No verify check reads an operand order, a slice bound, an input layout or the axis of
-random_circuit's phase fix, so _CASES in test_verification.py cannot show that these
-guards bite.  Each row here patches the engine, or random_circuit's builder, with one
-small change, calls the named test, and expects it to fail.  A source row rewrites one
+No verify check reads an operand order, a slice bound, an input layout, the axis of
+random_circuit's phase fix or the rounding of a Born probability, so _CASES in
+test_verification.py cannot show that these guards bite.  Each row here patches the
+engine, a table it compiles at import, or random_circuit's builder, with one small
+change, calls the named test, and expects it to fail.  A source row rewrites one
 snippet of a function's own source, so the row breaks loudly if that snippet changes.
 """
 
@@ -15,9 +16,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bellclone import StateVector, cloning, statevector, verification
+from bellclone import cloning, statevector, verification
 
 import test_cli
+import test_cloning
 import test_statevector
 import test_verification
 
@@ -45,8 +47,7 @@ def _source_mutant(function, old, new):
 
 def _joint_by_isometry(pair, circuit):
     # The circuit's |a>|00> columns times the pair: the same state, not the same bytes.
-    isometry = statevector.circuit_unitary(circuit)[:, ::4]
-    return statevector._built(StateVector, 4, isometry @ pair.amplitudes)
+    return statevector.circuit_unitary(circuit)[:, ::4] @ pair.amplitudes
 
 
 def _multiply_commutes() -> bool:
@@ -91,6 +92,18 @@ _WIDE_CUT = partial(
 _WIDE_NORM = partial(
     test_statevector.test_a_wide_state_meets_the_same_norm_bound, scale=1 + 5e-13, accepted=True
 )
+_ELIDED = [
+    partial(test_statevector.TestGatherPlan().test_the_plan_keeps_its_bytes_where_numpy_elides, n)
+    for n in (13, 14)
+]
+_PAIR_ROUTE = test_cloning.test_identify_and_clone_give_the_public_routes_bytes
+_SUPERPOSED_PAIR = _example(
+    _PAIR_ROUTE,
+    parts=[(0.274, -0.46), (-0.918, -0.967), (0.627, 0.826), (0.213, 0.459)],
+    index=None,
+    seed=0,
+)
+_BELL_PAIR = _example(_PAIR_ROUTE, parts=[], index=1, seed=1)
 _PER_GATE_QR = _example(
     test_verification.test_random_circuit_keeps_the_per_gate_qr_bytes, n=4, depth=12, seed=0
 )
@@ -101,9 +114,40 @@ _BYTE_MUTANTS = [
     (
         "planned-operands-swapped",
         _source_mutant(
-            statevector._planned, "coefficients * amps[indices]", "amps[indices] * coefficients"
+            statevector._planned,
+            "np.multiply(coefficients, amps[indices])",
+            "np.multiply(amps[indices], coefficients)",
         ),
-        [_PLAN],
+        [_PLAN, _ELIDED[0]],
+        AssertionError,
+    ),
+    # numpy elides the temporary of `*` into an in-place multiply with swapped operands.
+    (
+        "planned-product-by-operator",
+        _source_mutant(
+            statevector._planned,
+            "np.multiply(coefficients, amps[indices])",
+            "coefficients * amps[indices]",
+        ),
+        _ELIDED,
+        AssertionError,
+    ),
+    # The same Born probabilities, rounded otherwise: identify's probability moves.
+    (
+        "readout-marginal-by-parts",
+        _source_mutant(
+            cloning._readouts,
+            "(np.abs(rows) ** 2).sum(axis=1)",
+            "(rows.real**2 + rows.imag**2).sum(axis=1)",
+        ),
+        [_SUPERPOSED_PAIR],
+        AssertionError,
+    ),
+    # Outcome k's row then gathers ancilla bits (q3, q2): Bell pair 1 reads out as 2.
+    (
+        "ancilla-rows-swapped",
+        (cloning, "_ANCILLA_ROWS", statevector._grouped(np.arange(16), 4, (3, 2))),
+        [_BELL_PAIR],
         AssertionError,
     ),
     (
@@ -198,6 +242,8 @@ def test_a_byte_mutant_fails_its_guard(mutant, test, raises, monkeypatch):
 def test_every_guard_passes_on_the_engine_recompiled_unchanged(monkeypatch):
     # So each row's failure is its mutant's: neither the example nor the rewriting fails.
     for module, name in {mutant[:2] for _, mutant, _, _ in _BYTE_MUTANTS}:
+        if not callable(getattr(module, name)):  # a table compiled at import: nothing to redo
+            continue
         same = _rewritten(getattr(module, name), f"def {name}(", f"def {name}(")
         monkeypatch.setattr(module, name, same)
     for test in _GUARDS:

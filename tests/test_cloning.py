@@ -16,13 +16,16 @@ from bellclone import (
     basis_state,
     bell_decode_circuit,
     bell_encode_circuit,
+    bell_index_of,
     bell_state,
     circuit_unitary,
     clone,
     clone_circuit,
+    fidelity_mixed,
     identify,
     measure,
     origin_bits,
+    partial_trace,
     tag_circuit,
     tensor,
 )
@@ -58,8 +61,8 @@ def test_fixed_circuits_are_built_once_and_read_only(builder):
 @pytest.mark.parametrize("index", BELL_INDICES)
 def test_only_returned_states_are_validated(index, monkeypatch):
     # Intermediate values stay plain arrays: each call builds only the states it
-    # hands its caller (the evolved register, residual, reduced pairs), and builds
-    # them through the private path, so no public constructor check runs.
+    # hands its caller (identify's residual; clone's register and reduced pairs), and
+    # builds them through the private path, so no public constructor check runs.
     built, public = [], []
     private_path = statevector._built
 
@@ -79,13 +82,17 @@ def test_only_returned_states_are_validated(index, monkeypatch):
         return built.count(StateVector), built.count(DensityMatrix)
 
     assert constructions(lambda: apply_circuit(joint_input, clone_circuit())) == (1, 0)
-    assert constructions(lambda: identify(bell_state(index), seed=index)) == (2, 0)
+    assert constructions(lambda: identify(bell_state(index), seed=index)) == (1, 0)
     assert constructions(lambda: clone(bell_state(index))) == (1, 2)
     assert public == []
 
 
 # Real and imaginary parts, with both signed zeros: pair files hold "-0.0 0.0" lines.
 _PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+def _amplitudes(parts) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in parts])
 
 
 @given(
@@ -97,15 +104,61 @@ _PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_joint_matches_the_public_route_byte_for_byte(parts, builder):
     # _joint forms tensor's product and runs apply_circuit's gate loop on it bare.
-    amps = np.array([complex(re, im) for re, im in parts])
+    amps = _amplitudes(parts)
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
     pair = StateVector(2, amps / norm)
     joint = cloning._joint(pair, builder())
     public = apply_circuit(tensor(pair, basis_state("00")), builder())
-    assert joint.num_qubits == 4
-    assert joint.amplitudes.tobytes() == public.amplitudes.tobytes()
-    assert not joint.amplitudes.flags.writeable
+    assert joint.shape == (16,)
+    assert joint.tobytes() == public.amplitudes.tobytes()
+
+
+def _pair(parts, index) -> StateVector:
+    """The Bell state of ``index``, or else the pair ``parts`` normalized."""
+    if index is not None:
+        return bell_state(index)
+    amps = _amplitudes(parts)
+    return StateVector(2, amps / np.linalg.norm(amps))
+
+
+@given(
+    parts=st.lists(st.tuples(_PART, _PART), min_size=4, max_size=4).filter(
+        lambda parts: np.linalg.norm(_amplitudes(parts)) > 1e-3
+    ),
+    index=st.one_of(st.none(), st.sampled_from(BELL_INDICES)),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(parts=[(1.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-1.0, -0.0)], index=None, seed=0)
+@example(parts=[], index=0, seed=0)
+@example(parts=[], index=1, seed=1)
+@example(parts=[], index=2, seed=2)
+@example(parts=[], index=3, seed=3)
+@settings(max_examples=150, deadline=None)
+def test_identify_and_clone_give_the_public_routes_bytes(parts, index, seed):
+    # identify and clone run on the bare register and read it by compiled groupings;
+    # every field they return must carry the bytes of the public calls they stand for.
+    pair = _pair(parts, index)
+    tagged = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
+    record = measure(tagged, (2, 3), seed)
+    result = identify(pair, seed)
+    assert (result.index, result.outcome_bits, repr(result.probability)) == (
+        int(record.outcome, 2),
+        record.outcome,
+        repr(record.probability),
+    )
+    row = _grouped(tagged.amplitudes, 4, (2, 3))[result.index]
+    assert result.residual_state.amplitudes.tobytes() == (row / np.linalg.norm(row)).tobytes()
+
+    report = clone(pair)
+    joint = apply_circuit(tensor(pair, _ANCILLAS), clone_circuit())
+    label = bell_index_of(pair)
+    assert report.input_label == ("superposition" if label is None else str(label))
+    assert report.joint_state.amplitudes.tobytes() == joint.amplitudes.tobytes()
+    fidelities = [fidelity_mixed(partial_trace(joint, keep), pair) for keep in ((0, 1), (2, 3))]
+    assert [repr(report.fidelity_original), repr(report.fidelity_clone)] == [
+        repr(fidelity) for fidelity in fidelities
+    ]
 
 
 class TestTagCircuit:
@@ -191,11 +244,11 @@ class TestIdentify:
         pair = StateVector(2, amps / math.sqrt(18))
         joint = apply_circuit(tensor(pair, _ANCILLAS), tag_circuit())
         variates = np.random.default_rng(5).random(200)
-        drawn, results = cloning._readouts(joint, variates)
+        drawn, results = cloning._readouts(joint.amplitudes, variates)
         assert sorted(results) == list(BELL_INDICES)
         assert all(result.index == index for index, result in results.items())
         for u, index in zip(variates, drawn.tolist(), strict=True):
-            single_drawn, singles = cloning._readouts(joint, [u])
+            single_drawn, singles = cloning._readouts(joint.amplitudes, [u])
             (single,) = singles.values()
             assert single_drawn.tolist() == [index]
             result = results[index]

@@ -425,6 +425,17 @@ class TestGatherPlan:
         assert planned.tobytes() == statevector._evolve(flat, circuit.gates).tobytes()
         assert circuit._plan is circuit._plan
 
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_the_plan_keeps_its_bytes_where_numpy_elides(self, n):
+        # From 13 qubits on, a step's gathered temporary reaches 256 KiB, the size at which
+        # numpy turns c * amps[i] into an in-place amps[i] *= c, with its operands swapped.
+        rng = np.random.default_rng(n)
+        circuit = random_circuit(n, 12, rng)
+        flat = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        flat.setflags(write=False)
+        planned = statevector._planned(flat, circuit)
+        assert planned.tobytes() == statevector._evolve(flat, circuit.gates).tobytes()
+
     @pytest.mark.parametrize("builder, count", [(tag_circuit, 2), (clone_circuit, 3)])
     def test_the_protocol_circuits_fold_their_cnots(self, builder, count):
         # Two Hadamards on qubit 0 tag the pair, and cloning adds one on qubit 2; every

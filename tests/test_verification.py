@@ -1,7 +1,6 @@
 import math
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -170,7 +169,7 @@ def _without_last_outcome(state, qubits):
 def _wrong_row_readouts(joint, variates):
     # Each residual comes from the row of outcome index ^ 1.  On a Bell input
     # that row is zero, and 0/0 stays a NaN, as outside this test suite.
-    rows = _grouped(joint.amplitudes, 4, (2, 3))
+    rows = _grouped(joint, 4, (2, 3))
     with np.errstate(invalid="ignore"):
         wrong = [row / np.linalg.norm(row) for row in rows[[k ^ 1 for k in range(4)]]]
     drawn, results = _READOUTS(joint, variates)
@@ -433,7 +432,7 @@ def test_wrong_row_readout_fails_identify_too(monkeypatch):
 def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
     # One tag per Bell state, then identify's readout of all 100 variates.  Each pair
     # draws its own outcome on every one of them, so the readout builds one result with
-    # one residual: cloning builds each pair's four-qubit register, then that residual.
+    # one residual, and that residual is all cloning builds: the register stays bare.
     built, identified, batches = [], [], []
     result_type = cloning.IdentificationResult
 
@@ -455,8 +454,8 @@ def test_nondisturbance_reads_out_every_pair_and_seed(monkeypatch):
     assert check_nondisturbance(0).passed
     assert [drawn.tolist() for drawn, _ in batches] == [[i] * 100 for i in BELL_INDICES]
     assert [list(results.values()) for _, results in batches] == [[r] for r in identified]
-    assert [state.num_qubits for state in built] == [4, 2] * 4
-    assert [result.residual_state for result in identified] == built[1::2]
+    assert [state.num_qubits for state in built] == [2] * 4
+    assert [result.residual_state for result in identified] == built
 
 
 def test_verify_exits_one_on_a_broken_tagger(monkeypatch, capsys):
@@ -569,11 +568,8 @@ _NAN_MARGINAL = (
 _NAN_PROBABILITY = (cloning, {"_readouts": _nan_probability_readouts})
 # verification imports fidelity_pure and clone by name, so its own bindings are the ones patched.
 _NAN_FIDELITY_PURE = (verification, {"fidelity_pure": lambda psi, phi: np.nan})
-# _built's norm check rejects a NaN register, so the two checks get a bare stand-in.
-_NAN_JOINT = (
-    cloning,
-    {"_joint": lambda pair, c: SimpleNamespace(amplitudes=np.full(16, np.nan, dtype=complex))},
-)
+# _joint returns the register bare, so its stand-in is a bare NaN register.
+_NAN_JOINT = (cloning, {"_joint": lambda pair, c: np.full(16, np.nan, dtype=complex)})
 # clone's reduced states are genuine; only the fidelities it scores them at are NaN.
 _NAN_CLONE_FIDELITY = (cloning, {"fidelity_mixed": lambda rho, psi: np.nan})
 _CLONE = verification.clone

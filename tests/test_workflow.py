@@ -2,7 +2,8 @@
 
 PyYAML is not a test dependency, so each ``run: |`` block is taken by its indentation.
 The 99-column step's Python runs in this interpreter, each ``bellclone`` command of the
-golden step runs through cli.main against its golden file, and bash parses every block.
+golden step runs through cli.main against its golden file, the verify step's command runs
+against plain verify, and bash parses every block.
 Out of reach offline: the ``pip install`` step, the console-script entry point and the
 other Python versions of the matrix.
 """
@@ -85,6 +86,7 @@ def _rehearse_goldens(script: str) -> int:
 
 
 _BLOCKS = _run_blocks(WORKFLOW.read_text(encoding="utf-8"))
+_ONE_LINE_RUNS = re.findall(r"^\s*- run: (.*)$", WORKFLOW.read_text(encoding="utf-8"), re.M)
 
 
 def test_the_columns_step_passes_on_this_tree(monkeypatch):
@@ -94,6 +96,16 @@ def test_the_columns_step_passes_on_this_tree(monkeypatch):
 def test_the_golden_step_holds_every_command_to_its_file():
     # 4 verify seeds, 3 demo seeds in two formats, 4 matrices, 3 state files in two formats.
     assert _rehearse_goldens(_BLOCKS[_GOLDEN_STEP]) == 4 + 6 + 4 + 6
+
+
+def test_the_verify_step_times_each_check_and_keeps_plain_verifys_stdout():
+    (command,) = [run for run in _ONE_LINE_RUNS if run.startswith("bellclone verify")]
+    argv = shlex.split(command)[1:]
+    proc, plain = run_in_process(*argv), run_in_process("verify")
+    assert (proc.returncode, plain.returncode) == (0, 0)
+    assert proc.stdout == plain.stdout
+    assert proc.stderr.startswith("time ")
+    assert proc.stderr.splitlines()[-1].startswith("time total ")
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="bash is not installed")
