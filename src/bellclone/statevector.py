@@ -25,16 +25,16 @@ probabilities are squared norms and take a bound derived from it, wide enough
 for any state the norm check accepts.  _evolve() is the one gate loop, on
 amplitudes as stored, for apply_circuit() and verify's gate checks; each gate
 reshapes C-ordered buffers to its qubits' own axes and writes one of two buffers
-used by turns, with a third as scratch.  On 2**17 or more amplitudes it cuts each gate's
-views in two along an axis the gate does not mix, when the process may run on two CPUs or
-more, and runs one half on a one-thread module pool made on first need; both halves make
-the same numpy calls, so no byte depends on the cut.  A smaller state, or a process with
-one usable CPU, starts no thread, and a forked child drops the pool it inherits, whose
-thread did not survive the fork.  On as many amplitudes the norm check sums by einsum, not
-by a BLAS dot, whose threads an unpinned OpenBLAS leaves spinning on the CPU the other half
-needs.  cloning's _joint() runs _planned(), the gather plan a Circuit compiles once, on its
-4-qubit register only, and leaves the register bare; the tests hold it byte for byte to that
-loop on 1 to 6, 13 and 14 qubits.
+used by turns, with a third as scratch.  On 2**17 or more amplitudes it halves each gate's
+views along an axis the gate does not mix, when the process may run on two CPUs or more,
+and runs one half on a helper thread of the call's own, joined before the call returns;
+both halves make the same numpy calls, so no byte depends on the cut.  A smaller state, or
+a process with one usable CPU, starts no thread, and no thread outlives a call.  On as
+many amplitudes the norm check sums by einsum, not by a BLAS dot, whose threads an
+unpinned OpenBLAS leaves spinning on the CPU the other half needs.  cloning's _joint()
+runs _planned(), the gather plan a Circuit compiles once, on its 4-qubit register only,
+and leaves the register bare; the tests hold it byte for byte to that loop on 1 to 6, 13
+and 14 qubits.
 
 measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
@@ -47,10 +47,10 @@ lay out np.kron's bytes directly; tensor() rescales only a product past the norm
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -82,39 +82,15 @@ _EIGENVALUE_FLOOR = -1e-10
 # ran at 0.8 times the inline speed on 2**15 amplitudes, broke even at 2**16, and ran 1.6 to
 # 1.8 times as fast on 2**17 and 2**18.
 _SPLIT_MIN_SIZE = 2**17
-_MAX_SLICES = 2  # the only count measured; more wants A/B runs on a host with more CPUs
-_pool = None  # a ThreadPoolExecutor, made by the first split gate and dropped on fork
-_pool_lock = threading.Lock()  # so that callers on two threads make one pool between them
 
 _NAMED_MATRICES = {"hadamard": HADAMARD, "pauli_x": PAULI_X, "pauli_z": PAULI_Z}
-_GATE_KINDS = (*_NAMED_MATRICES, "cnot", "single_qubit")
+_GATE_KINDS = (*_NAMED_MATRICES, "single_qubit", "cnot")  # random_circuit's draw order
 
 
-def _slice_count() -> int:
-    """The CPUs this process may run on, which taskset narrows, at most _MAX_SLICES."""
+def _two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more, as taskset narrows them."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return min(_MAX_SLICES, len(affinity(0))) if affinity else 1
-
-
-def _split_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # imported by wide states only
-
-            _pool = ThreadPoolExecutor(_slice_count() - 1, thread_name_prefix="bellclone-gate")
-        return _pool
-
-
-def _drop_pool() -> None:
-    """A forked child inherits the pool but none of its threads, so submit would hang;
-    and the lock as it was, which a thread that did not survive the fork may hold."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    return affinity is not None and len(affinity(0)) > 1
 
 
 def _require_integer(value, what: str) -> None:
@@ -365,26 +341,32 @@ def _evolve(view: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
     validated.  Each gate reshapes the C-ordered buffers to its own 3-D or 5-D view.  The
     bytes hold only with the matrix column as multiply's first operand (numpy rounds c * v
     and v * c apart) and a length-1 slice for each half it scales (a 0-d one takes the
-    scalar path).  On at least _SPLIT_MIN_SIZE amplitudes each gate's views are cut into
-    one slice per usable CPU, at most _MAX_SLICES, along an axis the gate does not mix, and
-    _split runs the same numpy calls on each slice, so the bytes do not depend on the cut.
+    scalar path).  On at least _SPLIT_MIN_SIZE amplitudes, when two CPUs are usable, the call
+    opens a one-thread executor of its own and _split runs half of each gate on it, with the
+    same numpy calls, so the bytes do not depend on the cut.  Leaving the with block joins
+    that thread before the call returns or raises.
     """
     if not gates:
         return view
     out = np.empty_like(view, order="C")  # so that every reshape of a buffer is a view
     other = np.empty_like(out) if len(gates) > 1 else None
     spare = np.empty_like(out) if any(gate.control is None for gate in gates) else None
-    slices = _slice_count() if view.size >= _SPLIT_MIN_SIZE else 1
-    for gate in gates:
-        t, c = gate.target, gate.control
-        if c is None:
-            shape = (1 << t, 2, -1)
-            views = (view.reshape(shape), out.reshape(shape), spare.reshape(shape))
-        else:
-            shape = (1 << min(c, t), 2, 1 << (abs(c - t) - 1), 2, -1)
-            views = (view.reshape(shape), out.reshape(shape))
-        _split(gate, views, slices)
-        view, out, other = out, other, out
+    helper = None
+    if view.size >= _SPLIT_MIN_SIZE and _two_cpus():
+        from concurrent.futures import ThreadPoolExecutor  # imported by wide states only
+
+        helper = ThreadPoolExecutor(1, thread_name_prefix="bellclone-gate")
+    with helper or contextlib.nullcontext():
+        for gate in gates:
+            t, c = gate.target, gate.control
+            if c is None:
+                shape = (1 << t, 2, -1)
+                views = (view.reshape(shape), out.reshape(shape), spare.reshape(shape))
+            else:
+                shape = (1 << min(c, t), 2, 1 << (abs(c - t) - 1), 2, -1)
+                views = (view.reshape(shape), out.reshape(shape))
+            _split(gate, views, helper)
+            view, out, other = out, other, out
     return view
 
 
@@ -401,26 +383,24 @@ def _gate_on(gate: Gate, v: np.ndarray, o: np.ndarray, s: np.ndarray | None = No
         o[:, :, :, 0], o[:, :, :, 1] = v[:, :, :, 0], v[:, ::-1, :, 1]
 
 
-def _split(gate: Gate, views: tuple[np.ndarray, ...], slices: int) -> None:
-    """_gate_on over up to ``slices`` cuts of the views, the calling thread running the first.
+def _split(gate: Gate, views: tuple[np.ndarray, ...], helper) -> None:
+    """_gate_on on the views, or, given a helper executor, on two halves of them, the
+    helper running the second while the calling thread runs the first.
 
-    The cut runs along the first axis longer than 1 that the gate does not mix, one of
-    its view's even axes: the leading one, then a CNOT's middle one, then the trailing one.
+    The cut halves the first axis longer than 1 that the gate does not mix, one of its
+    view's even axes: the leading one, then a CNOT's middle one, then the trailing one.
     """
-    if slices > 1:
+    axis = None
+    if helper is not None:
         shape = views[0].shape
         axis = next((axis for axis in range(0, len(shape), 2) if shape[axis] > 1), None)
-        slices = 1 if axis is None else min(slices, shape[axis])
-    if slices < 2:
+    if axis is None:
         _gate_on(gate, *views)
         return
-    bounds = [shape[axis] * k // slices for k in range(slices + 1)]
-    cuts = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
-    pool = _split_pool()
-    futures = [pool.submit(_gate_on, gate, *(a[cut] for a in views)) for cut in cuts[1:]]
-    _gate_on(gate, *(a[cuts[0]] for a in views))
-    for future in futures:
-        future.result()
+    lead, half = (slice(None),) * axis, shape[axis] // 2
+    second = helper.submit(_gate_on, gate, *(a[lead + (slice(half, None),)] for a in views))
+    _gate_on(gate, *(a[lead + (slice(None, half),)] for a in views))
+    second.result()
 
 
 def _planned(amps: np.ndarray, circuit: Circuit) -> np.ndarray:

@@ -88,9 +88,6 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     return statevector._built(StateVector, num_qubits, amps)
 
 
-_KINDS = ("hadamard", "pauli_x", "pauli_z", "single_qubit", "cnot")
-
-
 def _drawn_gates(num_qubits: int, depth: int, rng: np.random.Generator) -> tuple[int, list]:
     """One random circuit's draws, made in random_circuit's order: the kind, then the target
     or the control/target pair, then a single_qubit's raw complex Gaussian 2x2.
@@ -98,7 +95,8 @@ def _drawn_gates(num_qubits: int, depth: int, rng: np.random.Generator) -> tuple
     Each gate is (kind, qubits, raw), raw None for all but single_qubit; _built_circuits
     turns the draws into gates.
     """
-    kinds = _KINDS if num_qubits >= 2 else _KINDS[:-1]
+    kinds = statevector._GATE_KINDS  # the draw order, cnot last
+    kinds = kinds if num_qubits >= 2 else kinds[:-1]
     gates = []
     for _ in range(depth):
         kind = kinds[rng.integers(len(kinds))]

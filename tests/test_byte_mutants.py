@@ -1,11 +1,12 @@
-"""The engine's byte-identity tests, each shown to fail on the mutant it exists to catch.
+"""The engine's byte and thread-lifetime guards, each shown to fail on the mutant it catches.
 
 No verify check reads an operand order, a slice bound, an input layout, the axis of
-random_circuit's phase fix or the rounding of a Born probability, so _CASES in
-test_verification.py cannot show that these guards bite.  Each row here patches the
-engine, a table it compiles at import, or random_circuit's builder, with one small
-change, calls the named test, and expects it to fail.  A source row rewrites one
-snippet of a function's own source, so the row breaks loudly if that snippet changes.
+random_circuit's phase fix, the rounding of a Born probability or whether a helper
+thread outlives its call, so _CASES in test_verification.py cannot show that these
+guards bite.  Each row here patches the engine, a table it compiles at import, or
+random_circuit's builder, with one small change, calls the named test, and expects it
+to fail.  A source row rewrites one snippet of a function's own source, so the row
+breaks loudly if that snippet changes.
 """
 
 import __future__
@@ -83,12 +84,15 @@ _ANY_CUT = _example(
     n=6,
     batch=3,
     depth=12,
-    slices=3,
     seed=0,
 )
 _WIDE_CUT = partial(
-    test_statevector.TestSplitGates().test_a_wide_state_splits_every_placement_byte_for_byte, 2
+    test_statevector.TestSplitGates().test_a_wide_state_splits_every_placement_byte_for_byte
 )
+_NO_HELPER_LEFT = [
+    partial(test_statevector.TestSplitGates().test_no_helper_thread_outlives_a_wide_call, fails)
+    for fails in (False, True)
+]
 _WIDE_NORM = partial(
     test_statevector.test_a_wide_state_meets_the_same_norm_bound, scale=1 + 5e-13, accepted=True
 )
@@ -152,13 +156,13 @@ _BYTE_MUTANTS = [
     ),
     (
         "split-slices-end-early",
-        _source_mutant(statevector._split, "slice(lo, hi)", "slice(lo, hi - 1)"),
+        _source_mutant(statevector._split, "slice(None, half)", "slice(None, half - 1)"),
         [_ANY_CUT, _WIDE_CUT],
         AssertionError,
     ),
     (
         "split-slices-start-late",
-        _source_mutant(statevector._split, "slice(lo, hi)", "slice(lo + 1, hi)"),
+        _source_mutant(statevector._split, "slice(half, None)", "slice(half + 1, None)"),
         [_ANY_CUT, _WIDE_CUT],
         AssertionError,
     ),
@@ -195,6 +199,13 @@ _BYTE_MUTANTS = [
             "view = np.lib.stride_tricks.as_strided(view, strides=out.strides)",
         ),
         [_LAYOUT],
+        AssertionError,
+    ),
+    # Never shut down, the call's executor keeps its thread alive after the call.
+    (
+        "evolve-never-joins-its-helper",
+        _source_mutant(statevector._evolve, "with helper or contextlib.nullcontext():", "if 1:"),
+        _NO_HELPER_LEFT,
         AssertionError,
     ),
     (

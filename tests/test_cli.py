@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bellclone import bell_state, cli, clone, identify, statevector, verification
+from bellclone import bell_state, cli, clone, identify, verification
 
 from oracles import BELL_AMPLITUDES, SQRT_HALF
 
@@ -417,10 +417,9 @@ def test_console_script_resolves_to_cli_main():
     assert pkgutil.resolve_name(entry) is cli.main
 
 
-def test_commands_and_the_pair_path_start_no_thread(monkeypatch):
+def test_commands_and_the_pair_path_start_no_thread():
     # Only a gate on 2**17 or more amplitudes is split across threads: every command and
     # the pair path stay on the one thread they start with.
-    monkeypatch.setattr(statevector, "_pool", None)
     threads = threading.active_count()
     for command in (
         ("verify", "--seed", "0"),
@@ -430,7 +429,6 @@ def test_commands_and_the_pair_path_start_no_thread(monkeypatch):
         assert run_in_process(*command).returncode == 0
     identify(bell_state(2), seed=0)
     clone(bell_state(2))
-    assert statevector._pool is None
     assert threading.active_count() == threads
 
 

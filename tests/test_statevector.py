@@ -447,23 +447,40 @@ class TestGatherPlan:
 
 
 @contextlib.contextmanager
-def _split_at(size, slices):
-    """_evolve cuts each gate on ``size`` or more amplitudes into ``slices``, on its own pool."""
+def _split_at(size):
+    """_evolve halves each gate on ``size`` or more amplitudes, as if two CPUs were usable."""
     with (
         mock.patch.object(statevector, "_SPLIT_MIN_SIZE", size),
-        mock.patch.object(statevector, "_slice_count", lambda: slices),
-        mock.patch.object(statevector, "_pool", None),
+        mock.patch.object(statevector, "_two_cpus", lambda: True),
     ):
-        try:
-            yield
-        finally:
-            if statevector._pool is not None:
-                statevector._pool.shutdown()
+        yield
 
 
 def _inline(view, gates):
-    with _split_at(math.inf, 1):
+    with _split_at(math.inf):
         return statevector._evolve(view, gates)
+
+
+@contextlib.contextmanager
+def _executors():
+    """The list of every ThreadPoolExecutor made inside, each kept alive till the way out,
+    so that only its own shutdown can end its thread; then each is shut down."""
+    made, executor = [], concurrent.futures.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        made.append(executor(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", counted):
+        try:
+            yield made
+        finally:
+            for each in made:
+                each.shutdown()
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("bellclone-gate")]
 
 
 class TestSplitGates:
@@ -471,68 +488,83 @@ class TestSplitGates:
         n=st.integers(1, 6),
         batch=st.one_of(st.none(), st.integers(1, 5)),
         depth=st.integers(1, 12),
-        slices=st.integers(2, 4),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_any_cut_gives_the_inline_bytes(self, n, batch, depth, slices, seed):
-        # Every view is cut, in even and uneven slices, on every gate kind and placement.
+    def test_any_cut_gives_the_inline_bytes(self, n, batch, depth, seed):
+        # Every view is cut, on every gate kind and placement; a batch of an odd number of
+        # columns, cut along its trailing axis, is cut into unequal halves.
         rng = np.random.default_rng(seed)
         circuit = random_circuit(n, depth, rng)
         states = [random_state(n, rng).amplitudes for _ in range(batch or 1)]
         view = states[0] if batch is None else np.stack(states, axis=-1)
-        with _split_at(2, slices):
+        with _split_at(2):
             split = statevector._evolve(view, circuit.gates)
         assert split.shape == view.shape
         assert split.tobytes() == _inline(view, circuit.gates).tobytes()
 
-    @pytest.mark.parametrize("slices", [2, 3, 4])
-    def test_a_wide_state_splits_every_placement_byte_for_byte(self, slices):
+    def test_a_wide_state_splits_every_placement_byte_for_byte(self):
         # Every target, then CNOTs with the leading axis (or the leading and middle axes)
-        # of length 1, and one on the last two qubits.  Three and four slices are uneven.
+        # of length 1, and one on the last two qubits.
         n = 18
         gates = [single_qubit(t, _SWEEP_MATRIX) for t in range(n)]
         gates += [cnot(0, 17), cnot(17, 0), cnot(0, 1), cnot(16, 17)]
         state = random_state(n, np.random.default_rng(18)).amplitudes
-        with _split_at(statevector._SPLIT_MIN_SIZE, slices):
+        with _split_at(statevector._SPLIT_MIN_SIZE), _executors() as made:
             split = statevector._evolve(state, gates)
-            assert statevector._pool is not None
+            assert len(made) == 1
         assert split.tobytes() == _inline(state, gates).tobytes()
 
     def test_one_usable_cpu_runs_inline_and_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(statevector, "_pool", None)
         threads = threading.active_count()
         state = random_state(17, np.random.default_rng(0))
-        apply_circuit(state, Circuit(17, (hadamard(0), cnot(0, 16))))
-        assert statevector._pool is None
+        with _executors() as made:
+            apply_circuit(state, Circuit(17, (hadamard(0), cnot(0, 16))))
+        assert made == []
         assert threading.active_count() == threads
 
-    def test_callers_on_many_threads_make_one_pool_and_the_inline_bytes(self):
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "helper-raises"])
+    def test_no_helper_thread_outlives_a_wide_call(self, fails):
+        # The call's executor is kept alive here, so only the call's own shutdown can end
+        # its thread: by the time apply_circuit returns or raises, that thread is gone.
+        gate_on = statevector._gate_on
+
+        def failing(gate, *views):
+            if _helper_threads() == [threading.current_thread()]:
+                raise RuntimeError("the helper's half failed")
+            gate_on(gate, *views)
+
+        threads = threading.active_count()
+        state = random_state(17, np.random.default_rng(3))
+        with (
+            _split_at(statevector._SPLIT_MIN_SIZE),
+            _executors() as made,
+            mock.patch.object(statevector, "_gate_on", failing if fails else gate_on),
+        ):
+            with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+                apply_circuit(state, Circuit(17, (hadamard(0), cnot(0, 16))))
+            assert len(made) == 1
+            assert _helper_threads() == []
+            assert threading.active_count() == threads
+
+    def test_callers_on_many_threads_get_the_inline_bytes(self):
         # More callers than CPUs, let go at once and switching as often as they can: each
-        # caller's result is the inline one, and their first split gates make one pool.
+        # caller's result is the inline one, and each call opens its own executor.
         gates = random_circuit(17, 3, np.random.default_rng(5)).gates
         states = [random_state(17, np.random.default_rng(k)).amplitudes for k in range(4)]
         expected = [_inline(state, gates).tobytes() for state in states]
-        executor = concurrent.futures.ThreadPoolExecutor
         interval = sys.getswitchinterval()
         for _ in range(5):
-            results, made = [None] * len(states), []
+            results = [None] * len(states)
             start = threading.Barrier(len(states))
-
-            def counted(*args, **kwargs):
-                made.append(None)
-                return executor(*args, **kwargs)
 
             def run(k):
                 start.wait(timeout=60)
                 results[k] = statevector._evolve(states[k], gates).tobytes()
 
             callers = [threading.Thread(target=run, args=(k,)) for k in range(len(states))]
-            with (
-                _split_at(statevector._SPLIT_MIN_SIZE, 2),
-                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", counted),
-            ):
+            with _split_at(statevector._SPLIT_MIN_SIZE), _executors() as made:
                 sys.setswitchinterval(1e-6)
                 try:
                     for caller in callers:
@@ -543,45 +575,35 @@ class TestSplitGates:
                     sys.setswitchinterval(interval)
             assert not any(caller.is_alive() for caller in callers)
             assert results == expected
-            assert len(made) == 1
+            assert len(made) == len(states)
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_getaffinity"), reason="os.sched_getaffinity is missing"
     )
-    def test_the_process_affinity_decides_whether_a_thread_starts(self, monkeypatch):
-        # Nothing patched but the pool: under taskset -c 0 this is the one-CPU branch.
-        monkeypatch.setattr(statevector, "_pool", None)
+    def test_the_process_affinity_decides_whether_a_thread_starts(self):
+        # Nothing patched: under taskset -c 0 this is the one-CPU branch.
         state = random_state(17, np.random.default_rng(2))
-        try:
+        with _executors() as made:
             apply_circuit(state, Circuit(17, (hadamard(0),)))
-            assert (statevector._pool is None) == (len(os.sched_getaffinity(0)) == 1)
-        finally:
-            if statevector._pool is not None:
-                statevector._pool.shutdown()
+        assert (made == []) == (len(os.sched_getaffinity(0)) == 1)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
     def test_a_forked_child_makes_its_own_pool(self):
-        # The child inherits the parent's pool but none of its threads; a submit to that
-        # pool would wait forever, so the child must drop it and make its own.
+        # No helper thread is alive at the fork, so the child is forked from one thread
+        # (Python 3.12 and later warn on a fork with more, and pytest makes that an error),
+        # and its wide call opens its own executor and gives the parent's bytes.
         gates = random_circuit(17, 6, np.random.default_rng(17)).gates
         state = random_state(17, np.random.default_rng(1)).amplitudes
-        with _split_at(statevector._SPLIT_MIN_SIZE, 2):
+        with _split_at(statevector._SPLIT_MIN_SIZE):
             parent = hashlib.sha256(statevector._evolve(state, gates).tobytes()).digest()
             read, write = os.pipe()
-            warns = (
-                pytest.warns(DeprecationWarning, match="multi-threaded")
-                if sys.version_info >= (3, 12)
-                else contextlib.nullcontext()
-            )
-            with warns:
-                pid = os.fork()
-                if pid == 0:  # the child never returns into the test runner
-                    try:
-                        dropped = statevector._pool is None
-                        out = statevector._evolve(state, gates).tobytes()
-                        os.write(write, bytes([dropped]) + hashlib.sha256(out).digest())
-                    finally:
-                        os._exit(0)
+            pid = os.fork()
+            if pid == 0:  # the child never returns into the test runner
+                try:
+                    out = statevector._evolve(state, gates).tobytes()
+                    os.write(write, hashlib.sha256(out).digest())
+                finally:
+                    os._exit(0)
             os.close(write)
             try:
                 if not select.select([read], [], [], 60)[0]:
@@ -591,7 +613,7 @@ class TestSplitGates:
             finally:
                 os.close(read)
                 os.waitpid(pid, 0)
-        assert child == bytes([True]) + parent
+        assert child == parent
 
 
 class TestTensorAndOverlaps:
