@@ -10,9 +10,11 @@ bare product of the pair and |00>, which keeps the pair's norm, and returns the
 register's bare amplitudes; _readouts() gathers their ancilla rows, draws the
 outcome per uniform variate and builds one result per outcome drawn; verify's
 Born and nondisturbance checks draw through it too.  clone() also uses _joint(),
-builds the register it returns, and reduces its two gathered row blocks through
-statevector's _traced().  A call builds only the states it returns: the register
-stays bare in identify(), and the groupings it is read by are compiled at import.
+builds the register it returns, reduces its two gathered row blocks through
+statevector's _traced() to bare matrices and scores each against the pair through
+statevector's _fidelity(), fidelity_mixed()'s formula without its checks.  A call builds
+only the states it returns: the register stays bare in identify(), the reduced pairs stay
+bare in clone(), and the groupings the register is read by are compiled at import.
 
 Both behaviors are special to the four-state orthonormal input alphabet; on a
 superposition of Bell states the transform entangles pair and ancillas and the
@@ -29,6 +31,7 @@ from .bell import bell_decode_circuit, bell_encode_circuit, bell_index_of
 from .statevector import (
     _built,
     _draw,
+    _fidelity,
     _grouped,
     _norm,
     _planned,
@@ -37,7 +40,6 @@ from .statevector import (
     StateVector,
     basis_state,
     cnot,
-    fidelity_mixed,
     hadamard,
 )
 
@@ -150,15 +152,15 @@ def clone(pair: StateVector) -> CloneReport:
     """Run the cloning circuit and score both output pairs against the input.
 
     Reduced states are compared rather than the joint vector so the report is
-    honest on superposition inputs, where the two pairs come out entangled.
+    honest on superposition inputs, where the two pairs come out entangled.  Each is
+    scored as a bare matrix; the report's fidelities are fidelity_mixed's bytes.
     """
     amps = _joint(pair, clone_circuit())
-    joint = _built(StateVector, 4, amps)
     index = bell_index_of(pair)
     return CloneReport(
         input_label="superposition" if index is None else str(index),
-        joint_state=joint,
-        fidelity_original=fidelity_mixed(_traced(amps[_PAIR_ROWS], 2), pair),
-        fidelity_clone=fidelity_mixed(_traced(amps[_ANCILLA_ROWS], 2), pair),
+        joint_state=_built(StateVector, 4, amps),
+        fidelity_original=_fidelity(_traced(amps[_PAIR_ROWS]), pair.amplitudes),
+        fidelity_clone=_fidelity(_traced(amps[_ANCILLA_ROWS]), pair.amplitudes),
         ucm_reference=UCM_REFERENCE,
     )

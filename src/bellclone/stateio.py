@@ -6,9 +6,14 @@ Blank lines and lines starting with ``#`` are ignored anywhere in the file.
 The amplitudes must form a normalized vector up to a loose file tolerance;
 they are renormalized on load so downstream code sees an exact unit vector.
 The file must be UTF-8 text of at most 4 MiB, in lines ending ``\n``, ``\r\n`` or ``\r``.
+It is read through ``os.open``/``os.read``, without a buffered file object, until end of
+file or one byte past the limit; the amplitudes are parsed into one flat list of floats
+that becomes the complex array in one ``np.array(...).view(complex)`` call.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -23,7 +28,7 @@ _MAX_COMPONENT = 1.0 + _FILE_NORM_ATOL
 # _MAX_FILE_QUBITS, and checking that first keeps 2**N from being computed.
 _MAX_FILE_BYTES = 4 * 1024 * 1024
 _MAX_FILE_QUBITS = (_MAX_FILE_BYTES // 4).bit_length() - 1
-_FIRST_READ = 64 * 1024  # most files take one read; a short read means end of file
+_FIRST_READ = 64 * 1024  # most files take one read, then one more that finds end of file
 # Error messages quote at most this many characters of a line.
 _ECHO_CHARS = 64
 
@@ -39,12 +44,31 @@ def _echo(text: str, show=repr) -> str:
     return f"{show(text[:_ECHO_CHARS])}... ({len(text)} characters)"
 
 
+def _read_capped(path: str) -> bytes:
+    """The file's bytes, read until end of file or one byte past _MAX_FILE_BYTES.
+
+    A pipe hands its data over in pieces, so a short read is not taken as end of file.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    chunks, total, size = [], 0, _FIRST_READ
+    try:
+        while total <= _MAX_FILE_BYTES:
+            chunk = os.read(fd, size)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            total += len(chunk)
+            size = _MAX_FILE_BYTES + 1 - total
+    except IsADirectoryError as exc:  # os.read names no file; open() would have named it
+        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def read_state_file(path: str) -> StateVector:
     """Parse ``path`` into a StateVector, or raise StateFileError."""
-    with open(path, "rb") as handle:
-        data = handle.read(_FIRST_READ)
-        if len(data) == _FIRST_READ:
-            data += handle.read(_MAX_FILE_BYTES + 1 - _FIRST_READ)
+    data = _read_capped(path)
     if len(data) > _MAX_FILE_BYTES:
         raise StateFileError(f"{path}: file is larger than {_MAX_FILE_BYTES} bytes")
     content = []
@@ -87,8 +111,8 @@ def read_state_file(path: str) -> StateVector:
             f"for {num_qubits} qubits, found {len(body)}"
         )
 
-    amps = np.zeros(expected, dtype=complex)
-    for k, (lineno, line) in enumerate(body):
+    values = []  # real, imag, real, imag, ...: the complex array's own float layout
+    for lineno, line in body:
         parts = line.split()
         if len(parts) != 2:
             raise StateFileError(
@@ -103,7 +127,8 @@ def read_state_file(path: str) -> StateVector:
                 f"{path}:{lineno}: amplitude {_echo(line)} is not finite or has a part "
                 f"beyond {_MAX_COMPONENT} in magnitude"
             )
-        amps[k] = complex(real, imag)
+        values += (real, imag)
+    amps = np.array(values).view(complex)
 
     norm = _norm(amps)
     if abs(norm - 1.0) > _FILE_NORM_ATOL:

@@ -12,7 +12,9 @@ as an independent cross-check of the gate loop.  _grouped() is the one
 projection helper: partial_trace(), the Born marginal and a record's post_state
 take the rows it makes by moving a group of qubits first, and cloning gathers its
 register's rows by the two index groupings it compiles through it at import.
-_traced() is the one reduction of such rows, for partial_trace() and clone().
+_traced() is the one reduction of such rows, to a bare matrix: partial_trace() builds its
+DensityMatrix on it, and clone() scores it bare through _fidelity(), the one expectation
+formula, which fidelity_mixed() also calls once its arguments are checked.
 Every caller array passes one intake check,
 _frozen_complex_array(), for its shape and finite entries, and a caller's
 StateVector or DensityMatrix passes all its checks.  A state built here from a
@@ -40,9 +42,11 @@ measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
 variates and knows nothing of seeds; measure() and cloning's _readouts(), the one
-ancilla readout, pass it default_rng draws.  A record builds its post-measurement
-state, fully checked, on first read, when a caller needs it.  tensor() and _kron()
-lay out np.kron's bytes directly; tensor() rescales only a product past the norm bound.
+ancilla readout, pass it default_rng draws.  It sums and accumulates by np.add's reduce
+and accumulate, the ufunc calls of ndarray.sum and np.cumsum without their wrappers.  A
+record builds its post-measurement state, fully checked, on first read, when a caller
+needs it.  tensor() and _kron() lay out np.kron's bytes directly; tensor() rescales only a
+product past the norm bound.
 """
 
 from __future__ import annotations
@@ -467,24 +471,29 @@ def _checked_qubits(num_qubits: int, qubits: Sequence[int]) -> list[int]:
     return qubits
 
 
-def _traced(rows: np.ndarray, num_qubits: int) -> DensityMatrix:
-    """The reduced state of _grouped's rows over ``num_qubits`` kept qubits: rows @ rows^H."""
-    return _built(DensityMatrix, num_qubits, rows @ rows.conj().T)
+def _traced(rows: np.ndarray) -> np.ndarray:
+    """The reduced state's bare matrix of _grouped's rows: rows @ rows^H."""
+    return rows @ rows.conj().T
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (in the given order), tracing out the rest."""
     n = state.num_qubits
     keep = _checked_qubits(n, keep)
-    return _traced(_grouped(state.amplitudes, n, keep), len(keep))
+    return _built(DensityMatrix, len(keep), _traced(_grouped(state.amplitudes, n, keep)))
+
+
+def _fidelity(matrix: np.ndarray, amps: np.ndarray) -> float:
+    """<amps|matrix|amps> on bare arrays, clipped to [0, 1]: fidelity_mixed's one formula."""
+    value = np.vdot(amps, matrix @ amps).real
+    return float(min(1.0, max(0.0, value)))
 
 
 def fidelity_mixed(rho: DensityMatrix, psi: StateVector) -> float:
     """<psi|rho|psi>; agrees with fidelity_pure when rho is a pure projector."""
     if rho.num_qubits != psi.num_qubits:
         raise ValueError("operator and state have different qubit counts")
-    value = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes).real
-    return float(min(1.0, max(0.0, value)))
+    return _fidelity(rho.matrix, psi.amplitudes)
 
 
 def _outcome_marginal(state: StateVector, qubits: list[int]) -> np.ndarray:
@@ -501,8 +510,12 @@ def measurement_distribution(state: StateVector, qubits: Sequence[int]) -> dict[
 
 
 def _draw(marginal: np.ndarray, variates: np.ndarray | float) -> np.ndarray:
-    """Outcome index per uniform variate, looked up in the normalized CDF as choice does."""
-    cdf = np.cumsum(marginal / marginal.sum())
+    """Outcome index per uniform variate, looked up in the normalized CDF as choice does.
+
+    np.add's reduce and accumulate are the ufunc calls that ndarray.sum and np.cumsum make,
+    without their Python wrappers, so the bytes are the same.
+    """
+    cdf = np.add.accumulate(marginal / np.add.reduce(marginal))
     cdf /= cdf[-1]
     return cdf.searchsorted(variates, side="right")
 

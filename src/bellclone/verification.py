@@ -83,7 +83,7 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
     size = 2**num_qubits
     amps = np.empty(size, dtype=complex)
-    amps.real, amps.imag = rng.normal(size=size), rng.normal(size=size)
+    amps.real, amps.imag = rng.normal(size=(2, size))  # the two draws of size, in one call
     amps /= statevector._norm(amps)
     return statevector._built(StateVector, num_qubits, amps)
 
@@ -107,7 +107,8 @@ def _drawn_gates(num_qubits: int, depth: int, rng: np.random.Generator) -> tuple
         target = int(rng.integers(num_qubits))
         raw = None
         if kind == "single_qubit":
-            raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            real, imag = rng.normal(size=(2, 2, 2))  # the two draws of (2, 2), in one call
+            raw = real + 1j * imag
         gates.append((kind, (target,), raw))
     return num_qubits, gates
 

@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 from bellclone import bell_state, cli, clone, identify, verification
 
 from oracles import BELL_AMPLITUDES, SQRT_HALF
+from test_stateio import padded_bell_file
 
 
 def run_cli(*args):
@@ -252,8 +253,23 @@ class TestClone:
         assert proc.stderr == "error: /dev/zero: file is larger than 4194304 bytes\n"
 
     def test_missing_file_exits_2(self, tmp_path):
-        proc = run_in_process("clone", "--state", str(tmp_path / "absent.txt"))
-        assert proc.returncode == 2
+        path = str(tmp_path / "absent.txt")
+        proc = run_in_process("clone", "--state", path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+    def test_directory_exits_2_naming_it(self, tmp_path):
+        proc = run_in_process("clone", "--state", str(tmp_path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_file_at_the_size_limit_prints_the_small_files_report(self, tmp_path):
+        # 4 MiB of comment lines, then Bell pair 1: the reader takes it in several reads.
+        path = tmp_path / "padded.txt"
+        path.write_bytes(padded_bell_file(4 * 1024 * 1024))
+        proc = run_in_process("clone", "--state", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert_matches_golden("clone --state @bell", proc.stdout)
 
     def test_state_flag_is_required(self):
         proc = run_in_process("clone")

@@ -61,8 +61,8 @@ def test_fixed_circuits_are_built_once_and_read_only(builder):
 @pytest.mark.parametrize("index", BELL_INDICES)
 def test_only_returned_states_are_validated(index, monkeypatch):
     # Intermediate values stay plain arrays: each call builds only the states it
-    # hands its caller (identify's residual; clone's register and reduced pairs), and
-    # builds them through the private path, so no public constructor check runs.
+    # hands its caller (identify's residual; clone's register, its reduced pairs scored
+    # bare), and builds them through the private path, so no public constructor check runs.
     built, public = [], []
     private_path = statevector._built
 
@@ -83,7 +83,7 @@ def test_only_returned_states_are_validated(index, monkeypatch):
 
     assert constructions(lambda: apply_circuit(joint_input, clone_circuit())) == (1, 0)
     assert constructions(lambda: identify(bell_state(index), seed=index)) == (1, 0)
-    assert constructions(lambda: clone(bell_state(index))) == (1, 2)
+    assert constructions(lambda: clone(bell_state(index))) == (1, 0)
     assert public == []
 
 

@@ -214,7 +214,8 @@ _VARIATE_BLIND = (cloning, {"_readouts": _variate_blind_readouts})
 _DROPPED_OUTCOME = (verification, {"measurement_distribution": _without_last_outcome})
 _FLIPPED_TAG = Circuit(4, (*tag_circuit().gates, pauli_x(2)))
 _FLIPPED_ANCILLA = (cloning, {"tag_circuit": lambda: _FLIPPED_TAG})
-_PERFECT_FIDELITY = (cloning, {"fidelity_mixed": lambda rho, psi: 1.0})
+# clone scores its halves through statevector's bare _fidelity, bound by name in cloning.
+_PERFECT_FIDELITY = (cloning, {"_fidelity": lambda matrix, amps: 1.0})
 
 
 def _run(check):
@@ -570,8 +571,8 @@ _NAN_PROBABILITY = (cloning, {"_readouts": _nan_probability_readouts})
 _NAN_FIDELITY_PURE = (verification, {"fidelity_pure": lambda psi, phi: np.nan})
 # _joint returns the register bare, so its stand-in is a bare NaN register.
 _NAN_JOINT = (cloning, {"_joint": lambda pair, c: np.full(16, np.nan, dtype=complex)})
-# clone's reduced states are genuine; only the fidelities it scores them at are NaN.
-_NAN_CLONE_FIDELITY = (cloning, {"fidelity_mixed": lambda rho, psi: np.nan})
+# clone's reduced matrices are genuine; only the fidelities it scores them at are NaN.
+_NAN_CLONE_FIDELITY = (cloning, {"_fidelity": lambda matrix, amps: np.nan})
 _CLONE = verification.clone
 # Only the clone half reads NaN, so a min() fold picks a finite original and drops it.
 _NAN_CLONE_HALF = (

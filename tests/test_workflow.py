@@ -2,8 +2,9 @@
 
 PyYAML is not a test dependency, so each ``run: |`` block is taken by its indentation.
 The 99-column step's Python runs in this interpreter, each ``bellclone`` command of the
-golden step runs through cli.main against its golden file, the verify step's command runs
-against plain verify, and bash parses every block.
+golden step runs through cli.main against its golden file, the golden step's exit-2 cases
+run through cli.main and, with ``python -m bellclone`` standing in for the script, through
+bash, the verify step's command runs against plain verify, and bash parses every block.
 Out of reach offline: the ``pip install`` step, the console-script entry point and the
 other Python versions of the matrix.
 """
@@ -12,6 +13,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 _COLUMNS_STEP = "No line under src/ or in tests/ is wider than 99 columns"
 _GOLDEN_STEP = "The installed console script prints the golden bytes"
+_EXPECT_ERROR = "expect_error() {"  # the golden step's exit-2 cases start here
 
 
 def _run_blocks(text: str) -> dict[str, str]:
@@ -51,7 +54,7 @@ def _heredoc(script: str) -> str:
 
 def _golden_commands(script: str) -> list[tuple[list[str], str]]:
     """(bellclone arguments, golden path) for each pipe into diff, every for loop expanded."""
-    lines = script.replace("\\\n", " ").splitlines()
+    lines = script.partition(_EXPECT_ERROR)[0].replace("\\\n", " ").splitlines()
     commands, loop = [], None
     for line in (line.strip() for line in lines):
         if match := re.fullmatch(r"for (\w+) in (.*); do", line):
@@ -85,6 +88,34 @@ def _rehearse_goldens(script: str) -> int:
     return len(commands)
 
 
+def _error_part(script: str) -> str:
+    """The golden step from expect_error's definition on: the definition, then its calls."""
+    _, start, rest = script.partition(_EXPECT_ERROR)
+    assert start, "the golden step no longer defines expect_error"
+    return start + rest
+
+
+def _rehearse_errors(script: str, monkeypatch) -> int:
+    """Each expect_error call run through cli.main from the checkout, as CI runs it."""
+    monkeypatch.chdir(ROOT)  # the calls name paths relative to the checkout, and so does stderr
+    calls = re.findall(r"^expect_error (.*)$", _error_part(script).replace("\\\n", " "), re.M)
+    for path, line in (shlex.split(call) for call in calls):
+        proc = run_in_process("clone", "--state", path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n"), path
+    return len(calls)
+
+
+def _bash_errors(script: str) -> subprocess.CompletedProcess:
+    """The exit-2 cases run by bash with CI's options, ``python -m bellclone`` as the script."""
+    stand_in = f'bellclone() {{ {shlex.quote(sys.executable)} -m bellclone "$@"; }}\n'
+    return subprocess.run(
+        ["bash", "-eo", "pipefail", "-c", stand_in + _error_part(script)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+
+
 _BLOCKS = _run_blocks(WORKFLOW.read_text(encoding="utf-8"))
 _ONE_LINE_RUNS = re.findall(r"^\s*- run: (.*)$", WORKFLOW.read_text(encoding="utf-8"), re.M)
 
@@ -96,6 +127,34 @@ def test_the_columns_step_passes_on_this_tree(monkeypatch):
 def test_the_golden_step_holds_every_command_to_its_file():
     # 4 verify seeds, 3 demo seeds in two formats, 4 matrices, 3 state files in two formats.
     assert _rehearse_goldens(_BLOCKS[_GOLDEN_STEP]) == 4 + 6 + 4 + 6
+
+
+def test_the_golden_step_pins_the_two_exit_2_errors(monkeypatch):
+    # A missing path and a directory.
+    assert _rehearse_errors(_BLOCKS[_GOLDEN_STEP], monkeypatch) == 2
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash is not installed")
+def test_bash_runs_the_exit_2_cases_against_the_cli():
+    proc = _bash_errors(_BLOCKS[_GOLDEN_STEP])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+# A pinned message the CLI does not print, and a path that exits 0.
+_WRONG_ERRORS = [
+    ("Is a directory", "Is not a directory"),
+    ("tests/golden ", "tests/golden/state-bell.txt "),
+]
+
+
+@pytest.mark.parametrize("old, new", _WRONG_ERRORS)
+def test_a_wrong_exit_2_case_fails_the_rehearsal(old, new, monkeypatch):
+    script = _BLOCKS[_GOLDEN_STEP]
+    assert script.count(old) == 1
+    with pytest.raises(AssertionError):
+        _rehearse_errors(script.replace(old, new), monkeypatch)
+    if shutil.which("bash") is not None:
+        assert _bash_errors(script.replace(old, new)).returncode == 1
 
 
 def test_the_verify_step_times_each_check_and_keeps_plain_verifys_stdout():
