@@ -16,7 +16,6 @@ from .statevector import (
     StateVector,
     _require_integer,
     cnot,
-    fidelity_pure,
     hadamard,
 )
 
@@ -68,7 +67,9 @@ def bell_index_of(state: StateVector) -> int | None:
     """Index of the Bell state this two-qubit state equals up to global phase, else None."""
     if state.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {state.num_qubits} qubits")
+    # fidelity_pure's |<state|bell>|^2 without its clip to 1, which moves no comparison
+    # with a threshold below 1.
     for index, bell in _BELL_STATES.items():
-        if fidelity_pure(state, bell) > _BELL_MATCH_THRESHOLD:
+        if abs(complex(np.vdot(state.amplitudes, bell.amplitudes))) ** 2 > _BELL_MATCH_THRESHOLD:
             return index
     return None

@@ -9,8 +9,11 @@ identify() is two steps: _joint() runs the transform's cached gather plan on the
 bare product of the pair and |00>, which keeps the pair's norm, and returns the
 register's bare amplitudes; _readouts() gathers their ancilla rows, draws the
 outcome per uniform variate and builds one result per outcome drawn; verify's
-Born and nondisturbance checks draw through it too.  clone() also uses _joint(),
-builds the register it returns, reduces its two gathered row blocks through
+Born and nondisturbance checks draw through it too.  A Bell pair's ancilla marginal
+is a point mass, one nonzero outcome that every variate draws, so _readouts() reads it
+without a lookup; given a plain non-negative int seed, identify() builds
+default_rng(seed) only when two outcomes or more are possible.  clone() also uses
+_joint(), builds the register it returns, reduces its two gathered row blocks through
 statevector's _traced() to bare matrices and scores each against the pair through
 statevector's _fidelity(), fidelity_mixed()'s formula without its checks.  A call builds
 only the states it returns: the register stays bare in identify(), the reduced pairs stay
@@ -24,6 +27,7 @@ clone fidelities drop, as the no-cloning bound demands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -121,14 +125,26 @@ def _joint(pair: StateVector, circuit: Circuit) -> np.ndarray:
     return _planned(product, circuit)
 
 
-def _readouts(amps: np.ndarray, variates: np.ndarray | list) -> tuple[np.ndarray, dict]:
+def _readouts(
+    amps: np.ndarray, variates: np.ndarray | list | Callable[[], float]
+) -> tuple[np.ndarray, dict]:
     """The one ancilla readout of the register's amplitudes: (outcome drawn per uniform
-    variate, {outcome: its result})."""
+    variate, {outcome: its result}).
+
+    ``variates`` is a sequence of uniform variates, or a zero-argument callable that returns
+    one and is called only if there is something to draw.  On a point mass, a marginal with
+    one nonzero outcome, every variate in [0, 1) draws that outcome, so none is looked up.
+    """
     rows = amps[_ANCILLA_ROWS]
     marginal = (np.abs(rows) ** 2).sum(axis=1)  # _outcome_marginal's values and layout
-    drawn = _draw(marginal, variates)
+    (likely,) = marginal.nonzero()
+    if likely.size == 1:
+        drawn = np.full(1 if callable(variates) else len(variates), likely[0])
+    else:
+        drawn = _draw(marginal, [variates()] if callable(variates) else variates)
+        likely = np.bincount(drawn, minlength=marginal.size).nonzero()[0]
     results = {}
-    for i in np.bincount(drawn, minlength=marginal.size).nonzero()[0].tolist():
+    for i in likely.tolist():
         residual = _built(StateVector, 2, rows[i] / _norm(rows[i]))
         results[i] = IdentificationResult(i, f"{i:02b}", float(marginal[i]), residual)
     return drawn, results
@@ -140,10 +156,16 @@ def identify(pair: StateVector, seed: int) -> IdentificationResult:
     The pair goes in on qubits (0, 1) with fresh |00> ancillas on (2, 3); the
     readout's one variate is ``default_rng(seed).random()``, as in measure().
     For Bell basis input the outcome is deterministic (probability 1) and the
-    residual pair equals the input; the seed only matters on superpositions,
-    where the Born rule genuinely has something to sample.
+    residual pair equals the input, so no generator is built for a plain
+    non-negative int seed; the seed only matters on superpositions, where the
+    Born rule genuinely has something to sample.  Any other seed goes to
+    default_rng at once, so numpy accepts, rejects or advances it on every input.
     """
-    _, results = _readouts(_joint(pair, tag_circuit()), [np.random.default_rng(seed).random()])
+    def draw() -> float:
+        return np.random.default_rng(seed).random()
+
+    amps = _joint(pair, tag_circuit())
+    _, results = _readouts(amps, draw if type(seed) is int and seed >= 0 else [draw()])
     (result,) = results.values()
     return result
 

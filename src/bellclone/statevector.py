@@ -42,7 +42,8 @@ measure() draws its outcome by the inverse-CDF lookup that numpy's
 Generator.choice performs for a weighted draw, so every seeded outcome matches
 choice bit for bit.  The lookup is one helper, _draw(), that takes uniform
 variates and knows nothing of seeds; measure() and cloning's _readouts(), the one
-ancilla readout, pass it default_rng draws.  It sums and accumulates by np.add's reduce
+ancilla readout, pass it default_rng draws, _readouts() only on a marginal with two
+outcomes or more.  It sums and accumulates by np.add's reduce
 and accumulate, the ufunc calls of ndarray.sum and np.cumsum without their wrappers.  A
 record builds its post-measurement state, fully checked, on first read, when a caller
 needs it.  tensor() and _kron() lay out np.kron's bytes directly; tensor() rescales only a

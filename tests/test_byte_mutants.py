@@ -112,6 +112,11 @@ _PER_GATE_QR = _example(
     test_verification.test_random_circuit_keeps_the_per_gate_qr_bytes, n=4, depth=12, seed=0
 )
 _GENERIC_GOLDEN = partial(test_cli.test_report_bytes_are_pinned, "clone --state @generic")
+_BORN_COUNTS = partial(test_verification.test_born_check_detail_is_pinned, 0)
+_BAD_SEEDS = [
+    partial(test_cloning.test_identify_raises_numpys_error_for_every_seed_it_rejects, seed, 0)
+    for seed in (-1, 1.5)
+]
 
 # (label, (module, name, replacement), the tests it fails, the exception each raises)
 _BYTE_MUTANTS = [
@@ -146,6 +151,22 @@ _BYTE_MUTANTS = [
         ),
         [_SUPERPOSED_PAIR],
         AssertionError,
+    ),
+    # The Born probe's two outcomes read as a point mass: all 10,000 shots read 00.
+    (
+        "readout-point-mass-on-two-outcomes",
+        _source_mutant(cloning._readouts, "likely.size == 1", "likely.size <= 2"),
+        [_BORN_COUNTS],
+        AssertionError,
+    ),
+    # A Bell pair then draws nothing, so numpy never sees the seed it would reject.
+    (
+        "identify-defers-every-seed",
+        _source_mutant(
+            cloning.identify, "draw if type(seed) is int and seed >= 0 else [draw()]", "draw"
+        ),
+        _BAD_SEEDS,
+        pytest.fail.Exception,
     ),
     # Outcome k's row then gathers ancilla bits (q3, q2): Bell pair 1 reads out as 2.
     (

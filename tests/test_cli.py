@@ -317,11 +317,44 @@ class TestVerify:
         assert plain.returncode == timed.returncode == 1
         assert plain.stdout == timed.stdout
 
+    @pytest.mark.parametrize("flags, imported", [((), False), (("--timings",), True)])
+    def test_timings_import_numpy_random_before_the_first_check(self, flags, imported):
+        # numpy imports numpy.random on first use. Under --timings the first check must not
+        # pay for it; plain verify leaves it where it was. A fresh process is the only
+        # place where the import has not happened yet.
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIRST_CHECK_PROBE, "verify", *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[0] == f"numpy.random imported: {imported}"
+        assert_matches_golden("verify --seed 0", proc.stdout)
+
     def test_timings_take_no_value(self):
         proc = run_in_process("verify", "--timings=1")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "--timings" in proc.stderr
+
+
+# cli.main with a first _CHECKS entry that reports on stderr, before it runs, whether
+# numpy.random has been imported.
+_FIRST_CHECK_PROBE = """
+import sys
+from bellclone import cli, verification
+
+names, check, seeded = verification._CHECKS[0]
+
+
+def first(*args):
+    print(f"numpy.random imported: {'numpy.random' in sys.modules}", file=sys.stderr)
+    return check(*args)
+
+
+verification._CHECKS = ((names, first, seeded), *verification._CHECKS[1:])
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 # "@name" is the committed input file tests/golden/state-<name>.txt: Bell state 1, the
@@ -425,12 +458,46 @@ def test_no_subcommand_is_a_usage_error():
     assert proc.returncode == 2
 
 
+_PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+
+
+def _script_entry_by_lines(text):
+    """The `bellclone = "..."` value under [project.scripts], read line by line.
+
+    Python 3.10 has no tomllib; this reads the one key of the one table it needs.
+    """
+    table = None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]":
+            key, _, value = line.partition("=")
+            if key.strip() == "bellclone":
+                return value.strip().strip('"')
+    return None
+
+
+def _script_entry(text):
+    try:
+        import tomllib  # in the standard library from Python 3.11
+    except ImportError:
+        return _script_entry_by_lines(text)
+    return tomllib.loads(text)["project"]["scripts"]["bellclone"]
+
+
 def test_console_script_resolves_to_cli_main():
     # The `bellclone` command an install puts on PATH runs this [project.scripts] entry.
-    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
-    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
-    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["bellclone"]
+    entry = _script_entry(_PYPROJECT.read_text())
     assert pkgutil.resolve_name(entry) is cli.main
+
+
+def test_the_line_reader_finds_the_console_script_on_any_python(monkeypatch):
+    # The reader Python 3.10 takes, forced where tomllib exists, so every Python runs it.
+    text = _PYPROJECT.read_text()
+    monkeypatch.setitem(sys.modules, "tomllib", None)  # import tomllib now raises ImportError
+    assert pkgutil.resolve_name(_script_entry(text)) is cli.main
+    assert _script_entry_by_lines(text.replace("[project.scripts]", "[project.urls]")) is None
 
 
 def test_commands_and_the_pair_path_start_no_thread():

@@ -161,6 +161,28 @@ def test_identify_and_clone_give_the_public_routes_bytes(parts, index, seed):
     ]
 
 
+def _fields(result) -> tuple:
+    """An IdentificationResult as plain values, its residual as bytes."""
+    return (
+        result.index,
+        result.outcome_bits,
+        repr(result.probability),
+        result.residual_state.amplitudes.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, -(2**70), "0", [-1]])
+@pytest.mark.parametrize("index", [*BELL_INDICES, None])
+def test_identify_raises_numpys_error_for_every_seed_it_rejects(seed, index):
+    # A Bell pair draws nothing, yet a seed numpy rejects is rejected there too.
+    pair = _pair([(1.0, 0.5), (0.0, 0.0), (0.0, 2.0), (1.0, 0.0)], index)
+    with pytest.raises((TypeError, ValueError)) as numpys:
+        np.random.default_rng(seed)
+    with pytest.raises(numpys.type) as raised:
+        cloning.identify(pair, seed)  # looked up in its module, where a patch reaches it
+    assert str(raised.value) == str(numpys.value)
+
+
 class TestTagCircuit:
     @pytest.mark.parametrize("index", BELL_INDICES)
     def test_writes_origin_onto_ancillas(self, index):
@@ -237,6 +259,35 @@ class TestIdentify:
     def test_rejects_wrong_qubit_count(self):
         with pytest.raises(ValueError):
             identify(basis_state("000"), seed=0)
+
+    def test_a_bell_pair_builds_no_generator(self, monkeypatch):
+        # A Bell pair's ancilla marginal is a point mass: every variate draws its one
+        # outcome, so identify reads it without default_rng, and returns the same result.
+        phased = [bell_state(i).amplitudes * np.exp(1j * (0.7 + i)) for i in BELL_INDICES]
+        pairs = [bell_state(i) for i in BELL_INDICES] + [StateVector(2, a) for a in phased]
+        seeds = (0, 7, 2**70)
+        expected = [_fields(identify(pair, seed)) for pair in pairs for seed in seeds]
+
+        class Refused(Exception):
+            pass
+
+        def refuse(seed):
+            raise Refused(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert [_fields(identify(pair, seed)) for pair in pairs for seed in seeds] == expected
+        with pytest.raises(Refused):  # a superposition still draws
+            identify(superposition(0, 1, 1 / math.sqrt(2), 1 / math.sqrt(2)), 0)
+
+    def test_a_seed_that_is_not_a_plain_int_draws_at_once(self):
+        # numpy accepts these; identify hands each to default_rng as before, so a
+        # Generator passed as the seed still gives up one variate, even on a Bell pair.
+        for seed in (np.int64(3), True):
+            assert _fields(identify(bell_state(1), seed)) == _fields(identify(bell_state(1), 0))
+        generator, reference = np.random.default_rng(9), np.random.default_rng(9)
+        identify(bell_state(2), generator)
+        reference.random()
+        assert generator.random() == reference.random()
 
     def test_batch_readout_equals_single_readouts_byte_for_byte(self):
         # One result per outcome drawn; each variate's must equal a one-variate readout's.
